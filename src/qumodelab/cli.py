@@ -8,6 +8,11 @@ Subcommands: ``run <config.json>``, ``validate <config.json>``, ``demos``.
 Exit codes: 0 success, 1 validation failure, 2 convergence failure, 3 I/O
 failure. Outputs are CSV (header row, LF endings, 12 significant digits) or
 JSON, byte-stable across reruns for a fixed config and seed.
+
+Each parameter is declared once, in its experiment's table (``_VIBRONIC``,
+``_SBM``, ...): type, allowed range, default or required, and the library
+constructor that builds it. Validation and the runners read the same table,
+so each default lives there and nowhere else.
 """
 
 from __future__ import annotations
@@ -16,21 +21,22 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from collections.abc import Callable
+from contextlib import suppress
+from dataclasses import dataclass, fields
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConvergenceError
 from .fock import Operator, QumodeRegister, basis_state
 from .gates import top_level_population
-from .graphs import adjacency_from_edges, hafnian, perfect_matching_count, read_edge_list
+from .graphs import MAX_HAFNIAN_SIZE, adjacency_from_edges, hafnian, read_edge_list
 from .kerrcat import (
     DoubleWellParams,
     KerrCatParams,
     doublewell_hamiltonian,
-    esqpt_energy,
     excitation_sweep,
     metapotential_dos,
 )
@@ -68,275 +74,243 @@ def _err(field: str, message: str) -> Diagnostic:
     return Diagnostic("error", field, message)
 
 
-def _warn(field: str, message: str) -> Diagnostic:
-    return Diagnostic("warning", field, message)
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_complexish(v) -> bool:
-    if _is_number(v):
-        return True
-    return (
-        isinstance(v, list)
-        and len(v) == 2
-        and _is_number(v[0])
-        and _is_number(v[1])
-    )
-
-
-def _to_complex(v) -> complex:
-    if isinstance(v, list):
-        return complex(v[0], v[1])
-    return complex(v)
-
-
 # ---------------------------------------------------------------------------
-# per-experiment validation
+# parameter tables
 # ---------------------------------------------------------------------------
 
 
-def _validate_vibronic(p: dict, diags: list[Diagnostic]) -> None:
-    allowed = {
-        "alpha1", "alpha2", "z1", "z2", "theta_bs", "phi_bs",
-        "cutoff", "initial", "maxq", "freqs", "e00", "note",
-    }
-    for key in sorted(set(p) - allowed):
-        diags.append(_err(f"params.{key}", "unknown key"))
-    for key in ("alpha1", "alpha2", "z1", "z2"):
-        if key in p and not _is_complexish(p[key]):
-            diags.append(_err(f"params.{key}", "must be a number or [re, im] pair"))
-    for key in ("theta_bs", "phi_bs", "e00"):
-        if key in p and not _is_number(p[key]):
-            diags.append(_err(f"params.{key}", "must be a finite number"))
-    cutoff = p.get("cutoff", 16)
-    if not _is_int(cutoff) or cutoff < 2:
-        diags.append(_err("params.cutoff", "must be an integer >= 2"))
-        cutoff = 16
-    if "freqs" not in p:
-        diags.append(_err("params.freqs", "required: [w1, w2] mode frequencies"))
-    elif (
-        not isinstance(p["freqs"], list)
-        or len(p["freqs"]) != 2
-        or not all(_is_number(w) and w > 0 for w in p["freqs"])
-    ):
-        diags.append(_err("params.freqs", "must be two positive numbers"))
-    initial = p.get("initial", [0, 0])
-    if (
-        not isinstance(initial, list)
-        or len(initial) != 2
-        or not all(_is_int(n) and 0 <= n < cutoff for n in initial)
-    ):
-        diags.append(_err("params.initial", f"must be two integers in 0..{cutoff - 1}"))
-    maxq = p.get("maxq", cutoff - 1)
-    if not _is_int(maxq) or not 0 <= maxq < cutoff:
-        diags.append(_err("params.maxq", f"must be an integer in 0..{cutoff - 1}"))
-    if "note" in p and not isinstance(p["note"], str):
-        diags.append(_err("params.note", "must be a string"))
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _validate_sbm_evolve(p: dict, diags: list[Diagnostic]) -> None:
-    allowed = {"hamiltonian", "units", "cutoff", "initial", "times"}
-    for key in sorted(set(p) - allowed):
-        diags.append(_err(f"params.{key}", "unknown key"))
-    k = None
-    ham = p.get("hamiltonian")
-    if ham is None:
-        diags.append(_err("params.hamiltonian", "required: 'fmo4' or a k x k matrix"))
-    elif ham == "fmo4":
-        k = 4
-        if p.get("units", "1/cm") != "1/cm":
-            diags.append(_err("params.units", "the fmo4 model is defined in 1/cm"))
-    elif isinstance(ham, list):
-        rows_ok = all(
-            isinstance(row, list) and len(row) == len(ham) and all(_is_number(x) for x in row)
-            for row in ham
-        )
-        if not rows_ok or len(ham) == 0:
-            diags.append(_err("params.hamiltonian", "matrix must be square with numeric entries"))
-        else:
-            k = len(ham)
-            M = np.array(ham, dtype=float)
-            if np.abs(M - M.T).max() > 1e-10:
-                diags.append(_err("params.hamiltonian", "matrix must be symmetric"))
-    else:
-        diags.append(_err("params.hamiltonian", "must be 'fmo4' or a k x k matrix"))
-    if "units" in p and p["units"] not in ("1/cm", "dimensionless"):
-        diags.append(_err("params.units", "must be '1/cm' or 'dimensionless'"))
-    if k is not None:
-        cutoff = p.get("cutoff", 2 * k - 1)
-        if not _is_int(cutoff) or cutoff < 2 * k - 1:
-            diags.append(
-                _err("params.cutoff", f"must be an integer >= {2 * k - 1} for k = {k}")
-            )
-    initial = p.get("initial")
-    if initial is None:
-        diags.append(_err("params.initial", "required: site index or amplitude list"))
-    elif _is_int(initial):
-        if k is not None and not 1 <= initial <= k:
-            diags.append(_err("params.initial", f"site index must be in 1..{k}"))
-    elif isinstance(initial, list):
-        if not all(_is_complexish(x) for x in initial):
-            diags.append(_err("params.initial", "amplitudes must be numbers or [re, im]"))
-        elif k is not None:
-            if len(initial) != k:
-                diags.append(_err("params.initial", f"needs {k} amplitudes"))
-            else:
-                vec = np.array([_to_complex(x) for x in initial])
-                if abs(np.linalg.norm(vec) - 1.0) > 1e-8:
-                    diags.append(_err("params.initial", "amplitude list must be normalized"))
-    else:
-        diags.append(_err("params.initial", "must be a site index or amplitude list"))
-    times = p.get("times")
-    if times is None:
-        diags.append(_err("params.times", "required: list or {start, stop, num}"))
-    elif isinstance(times, dict):
-        if set(times) != {"start", "stop", "num"}:
-            diags.append(_err("params.times", "needs exactly the keys start, stop, num"))
-        elif not (
-            _is_number(times["start"])
-            and _is_number(times["stop"])
-            and _is_int(times["num"])
-            and times["num"] >= 1
-        ):
-            diags.append(_err("params.times", "start/stop numbers and num >= 1"))
-    elif isinstance(times, list):
-        if not times or not all(_is_number(t) for t in times):
-            diags.append(_err("params.times", "must be a non-empty list of numbers"))
-    else:
-        diags.append(_err("params.times", "must be a list or {start, stop, num}"))
+def _is_number(x) -> bool:
+    return _REAL[1](x) and math.isfinite(x)
 
 
-def _validate_kerrcat(p: dict, diags: list[Diagnostic]) -> None:
-    allowed = {"K", "xi_grid", "cutoff", "n_levels", "dos_xi", "dos_bins", "dos_span", "dos_output"}
-    for key in sorted(set(p) - allowed):
-        diags.append(_err(f"params.{key}", "unknown key"))
-    if "K" in p and not _is_number(p["K"]):
-        diags.append(_err("params.K", "must be a finite number"))
-    grid = p.get("xi_grid")
-    if grid is None:
-        diags.append(_err("params.xi_grid", "required: list of drive values"))
-    elif not isinstance(grid, list) or not grid or not all(
-        _is_number(x) and x >= 0 for x in grid
-    ):
-        diags.append(_err("params.xi_grid", "must be a non-empty list of numbers >= 0"))
-    elif list(grid) != sorted(grid):
-        diags.append(_warn("params.xi_grid", "grid is not sorted ascending"))
-    cutoff = p.get("cutoff")
-    if not _is_int(cutoff) or cutoff < 4:
-        diags.append(_err("params.cutoff", "required: integer >= 4"))
-    n_levels = p.get("n_levels")
-    if not _is_int(n_levels) or n_levels < 1:
-        diags.append(_err("params.n_levels", "required: integer >= 1"))
-    elif _is_int(cutoff) and cutoff >= 4 and n_levels > cutoff:
-        diags.append(_err("params.n_levels", "cannot exceed the cutoff"))
-    if "dos_xi" in p:
-        if not _is_number(p["dos_xi"]) or p["dos_xi"] <= 0:
-            diags.append(_err("params.dos_xi", "must be a positive number"))
-        if "dos_output" not in p:
-            diags.append(_err("params.dos_output", "required when dos_xi is given"))
-        elif not isinstance(p["dos_output"], str) or not p["dos_output"]:
-            diags.append(_err("params.dos_output", "must be a non-empty path"))
-    elif "dos_output" in p:
-        diags.append(_err("params.dos_output", "only meaningful together with dos_xi"))
-    if "dos_bins" in p and (not _is_int(p["dos_bins"]) or p["dos_bins"] < 10):
-        diags.append(_err("params.dos_bins", "must be an integer >= 10"))
-    if "dos_span" in p and (not _is_number(p["dos_span"]) or p["dos_span"] <= 0):
-        diags.append(_err("params.dos_span", "must be a positive number"))
+def _is_list(x, test, length: int | None = None) -> bool:
+    return isinstance(x, list) and length in (None, len(x)) and all(test(e) for e in x)
 
 
-def _validate_doublewell(p: dict, diags: list[Diagnostic]) -> None:
-    allowed = {"k4", "k2", "k1", "mass", "cutoff", "n_levels"}
-    for key in sorted(set(p) - allowed):
-        diags.append(_err(f"params.{key}", "unknown key"))
-    for key in ("k4", "k2"):
-        if key not in p:
-            diags.append(_err(f"params.{key}", "required"))
-        elif not _is_number(p[key]):
-            diags.append(_err(f"params.{key}", "must be a finite number"))
-    if "k1" in p and not _is_number(p["k1"]):
-        diags.append(_err("params.k1", "must be a finite number"))
-    if "mass" in p and (not _is_number(p["mass"]) or p["mass"] <= 0):
-        diags.append(_err("params.mass", "must be a positive number"))
-    k4, k2 = p.get("k4"), p.get("k2")
-    if _is_number(k4) and _is_number(k2) and (k4 < 0 or (k4 == 0 and k2 > 0)):
-        diags.append(_err("params.k4", "potential unbounded below: need k4 > 0, or k4 = 0 with k2 <= 0"))
-    cutoff = p.get("cutoff")
-    if not _is_int(cutoff) or cutoff < 2:
-        diags.append(_err("params.cutoff", "required: integer >= 2"))
-    n_levels = p.get("n_levels")
-    if not _is_int(n_levels) or n_levels < 1:
-        diags.append(_err("params.n_levels", "required: integer >= 1"))
-    elif _is_int(cutoff) and cutoff >= 2 and n_levels > cutoff:
-        diags.append(_err("params.n_levels", "cannot exceed the cutoff"))
+def _pair_to_complex(x):
+    return complex(*x) if isinstance(x, list) else x
 
 
-def _validate_hafnian(p: dict, diags: list[Diagnostic]) -> None:
-    allowed = {"edges", "edges_file", "n"}
-    for key in sorted(set(p) - allowed):
-        diags.append(_err(f"params.{key}", "unknown key"))
-    has_edges = "edges" in p
-    has_file = "edges_file" in p
-    if has_edges == has_file:
-        diags.append(_err("params.edges", "give exactly one of edges or edges_file"))
-    if has_edges:
-        edges = p["edges"]
-        ok = isinstance(edges, list) and all(
-            isinstance(e, list)
-            and len(e) in (2, 3)
-            and _is_int(e[0]) and _is_int(e[1])
-            and (len(e) == 2 or _is_number(e[2]))
-            for e in edges
-        )
-        if not ok:
-            diags.append(_err("params.edges", "must be a list of [i, j] or [i, j, weight]"))
-    if has_file and (not isinstance(p["edges_file"], str) or not p["edges_file"]):
-        diags.append(_err("params.edges_file", "must be a non-empty path"))
-    if "n" in p and (not _is_int(p["n"]) or p["n"] < 1):
-        diags.append(_err("params.n", "must be a positive integer"))
+def _is_times(x) -> bool:
+    if isinstance(x, dict):
+        start, stop, num = (x.get(key) for key in ("start", "stop", "num"))
+        return len(x) == 3 and _is_list([start, stop], _is_number) and _is_int(num) and num >= 1
+    return _NUMBERS[1](x)
 
 
-def _validate_qpe(p: dict, diags: list[Diagnostic]) -> None:
-    allowed = {"d", "t", "phase", "shots"}
-    for key in sorted(set(p) - allowed):
-        diags.append(_err(f"params.{key}", "unknown key"))
-    d = p.get("d")
-    if not _is_int(d) or d < 2:
-        diags.append(_err("params.d", "required: integer >= 2"))
-    t = p.get("t")
-    if not _is_int(t) or t < 1:
-        diags.append(_err("params.t", "required: integer >= 1"))
-    if _is_int(d) and _is_int(t) and d ** (t + 1) > 4096:
-        diags.append(_err("params.t", f"register too large: d^(t+1) = {d ** (t + 1)} > 4096"))
-    if "phase" not in p:
-        diags.append(_err("params.phase", "required: eigenphase in [0, 1)"))
-    elif not _is_number(p["phase"]):
-        diags.append(_err("params.phase", "must be a finite number"))
-    if "shots" in p and (not _is_int(p["shots"]) or p["shots"] < 0):
-        diags.append(_err("params.shots", "must be a non-negative integer"))
+# JSON types, as (description, test). A "number" may be non-finite: the
+# library constructor that reads the field refuses it.
+_INT = ("an integer", _is_int)
+_REAL = ("a number", lambda x: _is_int(x) or isinstance(x, float))
+_NUMBER = ("a finite number", _is_number)
+_POSITIVE = ("a positive number", lambda x: _is_number(x) and x > 0)
+_PATH = ("a non-empty path", lambda x: isinstance(x, str) and x != "")
+_NUMBERS = ("a non-empty list of numbers", lambda x: _is_list(x, _is_number) and len(x) > 0)
 
 
-_VALIDATORS = {
-    "vibronic": _validate_vibronic,
-    "sbm-evolve": _validate_sbm_evolve,
-    "kerrcat-sweep": _validate_kerrcat,
-    "doublewell": _validate_doublewell,
-    "hafnian": _validate_hafnian,
-    "qpe": _validate_qpe,
+class _Field(NamedTuple):
+    """One parameter: JSON type, bounds, default (``...``: required), builder.
+
+    ``lo``/``hi`` bound each number of the value, inclusive; they and the
+    default may be functions of the fields before this one. ``make(value,
+    values)`` builds the runner's input, mostly with a library constructor.
+    """
+
+    kind: tuple[str, Callable]
+    default: object = ...
+    lo: object = None
+    hi: object = None
+    make: Callable = lambda x, values: x
+
+
+def _fill(table: dict[str, _Field], given: dict, prefix: str, diags: list[Diagnostic]) -> dict:
+    """Check ``given`` against ``table``; return the values, defaults filled in.
+
+    A field that fails its type, its bounds or its builder (by ValueError) is
+    reported once and takes its default, if any. Otherwise it is left out, and
+    every later bound, default or builder that reads it is skipped.
+    """
+    diags.extend(_err(prefix + key, "unknown key") for key in sorted(set(given) - set(table)))
+    values: dict = {}
+
+    def at(spec):  # a bound or default; None when it reads a field that failed
+        with suppress(KeyError):
+            return spec(values) if callable(spec) else spec
+
+    for name, ((text, test), default, lo, hi, make) in table.items():
+        lo, hi = at(lo), at(hi)
+        text += f" in {lo}..{hi}" if hi is not None else "" if lo is None else f" >= {lo}"
+        try:
+            if name in given:
+                x = given[name]
+                xs = x if isinstance(x, list) else [x]
+                if not test(x) or any(
+                    lo is not None and e < lo or hi is not None and e > hi for e in xs
+                ):
+                    raise ValueError("must be " + text)
+                values[name] = make(x, values)
+                continue
+            if default is ...:
+                raise ValueError("required: " + text)
+        except ValueError as exc:
+            diags.append(_err(prefix + name, str(exc)))
+        except KeyError:  # the builder reads a field that failed
+            continue
+        if default is not ...:
+            values[name] = at(default)
+    return values
+
+
+def _doktorov(name: str) -> Callable:
+    return lambda x, v: getattr(DoktorovSpec(**{name: _pair_to_complex(x)}), name)
+
+
+def _below_cutoff(v) -> int:
+    return v["cutoff"] - 1
+
+
+_COMPLEX = ("a number or [re, im] pair", lambda x: _REAL[1](x) or _is_list(x, _REAL[1], 2))
+_INT_PAIR = ("two integers", lambda x: _is_list(x, _is_int, 2))
+
+_VIBRONIC = {
+    **{n: _Field(_COMPLEX, 0.0, make=_doktorov(n)) for n in ("alpha1", "alpha2", "z1", "z2")},
+    **{n: _Field(_REAL, 0.0, make=_doktorov(n)) for n in ("theta_bs", "phi_bs")},
+    "cutoff": _Field(_INT, 16, lo=2),
+    "initial": _Field(_INT_PAIR, [0, 0], lo=0, hi=_below_cutoff),
+    "maxq": _Field(_INT, _below_cutoff, lo=0, hi=_below_cutoff),
+    "freqs": _Field(("two positive numbers", lambda x: _is_list(x, _POSITIVE[1], 2))),
+    "e00": _Field(_NUMBER, 0.0),
+    "note": _Field(("a string", lambda x: isinstance(x, str)), None),
 }
 
 
-def _load_config(config_path: str) -> dict:
-    """Read and parse the config file. OSError propagates (I/O failure)."""
-    with open(config_path) as fh:
-        text = fh.read()
-    return json.loads(text)
+def _hamiltonian(x, v) -> DenseHamiltonian:
+    if x == "fmo4":
+        return fmo_hamiltonian()
+    return DenseHamiltonian(np.array(x, dtype=float), units=v["units"])
+
+
+def _sbm_min_cutoff(v) -> int:
+    return 2 * v["hamiltonian"].k - 1  # the mapped polynomial reaches level 2(k - 1)
+
+
+def _initial_state(x, v) -> np.ndarray:
+    k = v["hamiltonian"].k
+    if _is_int(x):
+        if not 1 <= x <= k:
+            raise ValueError(f"site index must be in 1..{k}")
+        return np.eye(k, dtype=complex)[x - 1]
+    psi0 = np.array([_pair_to_complex(a) for a in x], dtype=complex)
+    if psi0.shape != (k,) or abs(np.linalg.norm(psi0) - 1.0) > 1e-8:
+        raise ValueError(f"must be {k} amplitudes of norm 1")
+    return psi0
+
+
+def _times(x, v) -> np.ndarray:
+    if isinstance(x, dict):
+        return np.linspace(x["start"], x["stop"], x["num"])
+    return np.asarray(x, dtype=float)
+
+
+_MODEL = (
+    "'fmo4' or a square matrix of numbers",
+    lambda x: x == "fmo4" or _is_list(x, lambda row: _is_list(row, _is_number, len(x))),
+)
+_SITE_OR_AMPLITUDES = (
+    "a site index or a list of amplitudes (numbers or [re, im] pairs)",
+    lambda x: _is_int(x) or _is_list(x, lambda a: _is_number(a) or _is_list(a, _is_number, 2)),
+)
+_TIMES = ("a non-empty list of numbers or {start, stop, num >= 1}", _is_times)
+_UNITS = ("1/cm", "dimensionless")
+
+_SBM = {
+    "units": _Field(("'1/cm' or 'dimensionless'", lambda x: x in _UNITS), "dimensionless"),
+    "hamiltonian": _Field(_MODEL, make=_hamiltonian),
+    "cutoff": _Field(_INT, _sbm_min_cutoff, lo=_sbm_min_cutoff),
+    "initial": _Field(_SITE_OR_AMPLITUDES, make=_initial_state),
+    "times": _Field(_TIMES, make=_times),
+}
+
+_KERRCAT = {
+    "K": _Field(_REAL, 1.0, make=lambda x, v: KerrCatParams(xi=0.0, K=x).K),
+    "xi_grid": _Field(_NUMBERS, lo=0),
+    "cutoff": _Field(_INT, make=lambda x, v: KerrCatParams(xi=0.0, cutoff=x).cutoff),
+    "n_levels": _Field(_INT, lo=1, hi=lambda v: v["cutoff"]),
+    "dos_xi": _Field(_POSITIVE, None),
+    "dos_bins": _Field(_INT, 10, lo=10),
+    "dos_span": _Field(_POSITIVE, 6.0),
+    "dos_output": _Field(_PATH, None),
+}
+
+# The mass and cutoff builders use a flat potential (k4 = k2 = 0), so each
+# library check is reported against its own field.
+_DOUBLEWELL = {
+    "k2": _Field(_NUMBER),
+    "k4": _Field(_NUMBER, make=lambda x, v: DoubleWellParams(k4=x, k2=v["k2"]).k4),
+    "k1": _Field(_NUMBER, 0.0),
+    "mass": _Field(_NUMBER, 1.0, make=lambda x, v: DoubleWellParams(0.0, 0.0, mass=x).mass),
+    "cutoff": _Field(_INT, make=lambda x, v: DoubleWellParams(0.0, 0.0, cutoff=x).cutoff),
+    "n_levels": _Field(_INT, lo=1, hi=lambda v: v["cutoff"]),
+}
+
+
+def _graph(A: np.ndarray) -> np.ndarray:
+    """The adjacency matrix, refused when ``hafnian`` would refuse it."""
+    if A.shape[0] % 2 == 0 and A.shape[0] > MAX_HAFNIAN_SIZE:
+        raise ValueError(f"hafnian limited to dimension {MAX_HAFNIAN_SIZE}, got {A.shape[0]}")
+    return A
+
+
+def _is_edge(e) -> bool:
+    return _is_list(e, _is_number) and len(e) in (2, 3) and _is_int(e[0]) and _is_int(e[1])
+
+
+_EDGES = ("a list of [i, j] or [i, j, weight]", lambda x: _is_list(x, _is_edge))
+
+
+_HAFNIAN = {
+    "n": _Field(_INT, None, lo=1),
+    "edges": _Field(_EDGES, None, make=lambda x, v: _graph(adjacency_from_edges(x, n=v["n"]))),
+    "edges_file": _Field(_PATH, None, make=lambda x, v: _graph(read_edge_list(x, n=v["n"]))),
+}
+
+
+_QPE = {
+    "d": _Field(_INT, lo=2),
+    "t": _Field(_INT, lo=1),
+    "phase": _Field(_NUMBER),
+    "shots": _Field(_INT, 0, lo=0),
+}
+
+_CONFIG = {
+    "experiment": _Field(("one of " + ", ".join(EXPERIMENTS), lambda x: x in EXPERIMENTS)),
+    "params": _Field(("a JSON object", lambda x: isinstance(x, dict))),
+    "output": _Field(_PATH),
+    "seed": _Field(_INT, 0),
+}
+
+
+def _rules(experiment: str, given: dict, values: dict):
+    """Rules across fields, on the given params and the values that passed."""
+    if experiment == "sbm-evolve" and given.get("hamiltonian") == "fmo4" and "units" in given:
+        if given["units"] != "1/cm":
+            yield _err("params.units", "the fmo4 model is defined in 1/cm")
+    if experiment == "kerrcat-sweep":
+        grid = values.get("xi_grid", [])
+        if grid != sorted(grid):
+            yield Diagnostic("warning", "params.xi_grid", "grid is not sorted ascending")
+        if ("dos_xi" in given) != ("dos_output" in given):
+            yield _err("params.dos_output", "give dos_output together with dos_xi, or neither")
+    if experiment == "hafnian" and ("edges" in given) == ("edges_file" in given):
+        yield _err("params.edges", "give exactly one of edges or edges_file")
+    if experiment == "qpe" and "d" in values and "t" in values:
+        size = values["d"] ** (values["t"] + 1)
+        if size > 4096:
+            yield _err("params.t", f"register too large: d^(t+1) = {size} > 4096")
 
 
 def validate(config_path: str) -> list[Diagnostic]:
@@ -344,41 +318,29 @@ def validate(config_path: str) -> list[Diagnostic]:
 
     An empty list, or warnings only, means the config is runnable.
     """
-    try:
-        cfg = _load_config(config_path)
-    except json.JSONDecodeError as exc:
-        return [_err("config", f"invalid JSON: {exc}")]
+    return _check_file(config_path)[0]
+
+
+def _check_file(config_path: str) -> tuple[list[Diagnostic], dict]:
+    with open(config_path) as fh:
+        try:
+            cfg = json.load(fh)
+        except json.JSONDecodeError as exc:
+            return [_err("config", f"invalid JSON: {exc}")], {}
     return validate_config(cfg)
 
 
-def validate_config(cfg) -> list[Diagnostic]:
-    diags: list[Diagnostic] = []
+def validate_config(cfg) -> tuple[list[Diagnostic], dict]:
+    """Diagnostics and filled-in values of a parsed config. OSError propagates."""
     if not isinstance(cfg, dict):
-        return [_err("config", "top level must be a JSON object")]
-    allowed = {"experiment", "params", "output", "seed", "threads"}
-    for key in sorted(set(cfg) - allowed):
-        diags.append(_err(key, "unknown key"))
-    exp = cfg.get("experiment")
-    if exp is None:
-        diags.append(_err("experiment", "required; one of " + ", ".join(EXPERIMENTS)))
-    elif exp not in EXPERIMENTS:
-        diags.append(_err("experiment", f"unknown experiment {exp!r}"))
-    if "output" not in cfg:
-        diags.append(_err("output", "required output path"))
-    elif not isinstance(cfg["output"], str) or not cfg["output"]:
-        diags.append(_err("output", "must be a non-empty path"))
-    if "seed" in cfg and not _is_int(cfg["seed"]):
-        diags.append(_err("seed", "must be an integer"))
-    if "threads" in cfg and (not _is_int(cfg["threads"]) or cfg["threads"] < 1):
-        diags.append(_err("threads", "must be a positive integer"))
-    params = cfg.get("params")
-    if params is None:
-        diags.append(_err("params", "required parameter object"))
-    elif not isinstance(params, dict):
-        diags.append(_err("params", "must be a JSON object"))
-    elif exp in _VALIDATORS:
-        _VALIDATORS[exp](params, diags)
-    return diags
+        return [_err("config", "top level must be a JSON object")], {}
+    diags: list[Diagnostic] = []
+    values = _fill(_CONFIG, cfg, "", diags)
+    if "experiment" in values and "params" in values:
+        table = _EXPERIMENTS[values["experiment"]][0]
+        values["params"] = _fill(table, cfg["params"], "params.", diags)
+        diags.extend(_rules(values["experiment"], cfg["params"], values["params"]))
+    return diags, values
 
 
 # ---------------------------------------------------------------------------
@@ -413,25 +375,15 @@ def _round12(x: float) -> float:
 
 def _run_vibronic(cfg: dict) -> str:
     p = cfg["params"]
-    cutoff = p.get("cutoff", 16)
-    spec = DoktorovSpec(
-        alpha1=_to_complex(p.get("alpha1", 0.0)),
-        alpha2=_to_complex(p.get("alpha2", 0.0)),
-        z1=_to_complex(p.get("z1", 0.0)),
-        z2=_to_complex(p.get("z2", 0.0)),
-        theta_bs=float(p.get("theta_bs", 0.0)),
-        phi_bs=float(p.get("phi_bs", 0.0)),
-    )
-    reg = QumodeRegister((cutoff, cutoff))
+    spec = DoktorovSpec(**{f.name: p[f.name] for f in fields(DoktorovSpec)})
+    reg = QumodeRegister((p["cutoff"], p["cutoff"]))
     U = doktorov_operator(spec, reg)
-    initial = tuple(p.get("initial", [0, 0]))
-    maxq = p.get("maxq", cutoff - 1)
-    table = fcf_table(U, initial, maxq)
-    spectrum = stick_spectrum(table, tuple(p["freqs"]), float(p.get("e00", 0.0)))
+    table = fcf_table(U, p["initial"], p["maxq"])
+    spectrum = stick_spectrum(table, p["freqs"], p["e00"])
     spectrum.write_csv(cfg["output"], header=("energy", "weight"))
     # Truncation stress of the row state U^dag |initial>: if its top levels
     # are empty, the tabulated factors are converged in the cutoff.
-    row_state = U.adjoint.apply(basis_state(reg, initial))
+    row_state = U.adjoint.apply(basis_state(reg, p["initial"]))
     leak = float(top_level_population(row_state).max())
     return (
         f"vibronic: wrote {cfg['output']} ({len(spectrum)} lines, "
@@ -441,80 +393,42 @@ def _run_vibronic(cfg: dict) -> str:
 
 def _run_sbm_evolve(cfg: dict) -> str:
     p = cfg["params"]
-    if p["hamiltonian"] == "fmo4":
-        H = fmo_hamiltonian()
-    else:
-        units = p.get("units", "dimensionless")
-        H = DenseHamiltonian(np.array(p["hamiltonian"], dtype=float), units=units)
-    k = H.k
-    cutoff = p.get("cutoff", 2 * k - 1)
-    initial = p["initial"]
-    if _is_int(initial):
-        psi0 = np.zeros(k, dtype=complex)
-        psi0[initial - 1] = 1.0
-    else:
-        psi0 = np.array([_to_complex(x) for x in initial])
-    times_spec = p["times"]
-    if isinstance(times_spec, dict):
-        times = np.linspace(times_spec["start"], times_spec["stop"], times_spec["num"])
-    else:
-        times = np.asarray(times_spec, dtype=float)
-    pops = sbm_evolve(H, psi0, times, cutoff)
-    header = ["time"] + [f"pop_{i + 1}" for i in range(k)]
+    H, cutoff, times = p["hamiltonian"], p["cutoff"], p["times"]
+    pops = sbm_evolve(H, p["initial"], times, cutoff)
+    header = ["time"] + [f"pop_{i + 1}" for i in range(H.k)]
     rows = ([t] + list(row) for t, row in zip(times, pops))
     _write_rows(cfg["output"], header, rows)
-    block = computational_block(map_hamiltonian(H, cutoff), k)
+    block = computational_block(map_hamiltonian(H, cutoff), H.k)
     restriction_err = float(np.abs(block - H.entries).max())
     return (
-        f"sbm-evolve: wrote {cfg['output']} ({len(times)} times, k={k}, "
+        f"sbm-evolve: wrote {cfg['output']} ({len(times)} times, k={H.k}, "
         f"mapping restriction error {restriction_err:.2e})"
     )
 
 
 def _run_kerrcat(cfg: dict) -> str:
     p = cfg["params"]
-    K = float(p.get("K", 1.0))
-    grid = [float(x) for x in p["xi_grid"]]
-    cutoff = p["cutoff"]
-    n_levels = p["n_levels"]
-    threads = cfg.get("threads", 1)
-
-    def one(xi: float):
-        return excitation_sweep(K, [xi], cutoff, n_levels)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            sweeps = list(pool.map(one, grid))
-    else:
-        sweeps = [one(xi) for xi in grid]
-
+    K, grid, cutoff, n_levels = p["K"], p["xi_grid"], p["cutoff"], p["n_levels"]
+    sweep = excitation_sweep(K, grid, cutoff, n_levels)
     rows = []
-    for xi, sweep in zip(grid, sweeps):
+    for i, xi in enumerate(sweep.xi):
         for level in range(n_levels):
-            parity = "even" if sweep.parities[0, level] == 1 else "odd"
-            rows.append([xi, level, parity, sweep.excitations[0, level]])
+            parity = "even" if sweep.parities[i, level] == 1 else "odd"
+            rows.append([xi, level, parity, sweep.excitations[i, level]])
     _write_rows(cfg["output"], ["xi", "level_index", "parity", "excitation_energy"], rows)
     summary = f"kerrcat-sweep: wrote {cfg['output']} ({len(grid)} grid points, {n_levels} levels)"
-    if "dos_xi" in p:
-        params = KerrCatParams(xi=float(p["dos_xi"]), K=K, cutoff=max(cutoff, 120))
-        bins = p.get("dos_bins", 10)
-        span = float(p.get("dos_span", 6.0))
-        dos = metapotential_dos(params, bins=bins, span=span)
+    if p["dos_xi"] is not None:
+        params = KerrCatParams(xi=p["dos_xi"], K=K, cutoff=max(cutoff, 120))
+        dos = metapotential_dos(params, bins=p["dos_bins"], span=p["dos_span"])
         dos.write_csv(p["dos_output"], header=("energy", "density"))
-        peak = esqpt_energy(params, bins=bins, span=span)
+        peak = dos.peak_energy()  # the ESQPT estimate, as in esqpt_energy
         summary += f"; DOS at xi={params.xi:g} -> {p['dos_output']} (peak near E'={peak:g})"
     return summary
 
 
 def _run_doublewell(cfg: dict) -> str:
     p = cfg["params"]
-    params = DoubleWellParams(
-        k4=float(p["k4"]),
-        k2=float(p["k2"]),
-        k1=float(p.get("k1", 0.0)),
-        mass=float(p.get("mass", 1.0)),
-        cutoff=p["cutoff"],
-    )
+    params = DoubleWellParams(p["k4"], p["k2"], p["k1"], p["mass"], p["cutoff"])
     H = doublewell_hamiltonian(params)
     evals = np.linalg.eigvalsh(H.entries)[: p["n_levels"]]
     _write_rows(cfg["output"], ["level", "energy"], ([i, e] for i, e in enumerate(evals)))
@@ -527,15 +441,11 @@ def _run_doublewell(cfg: dict) -> str:
 
 def _run_hafnian(cfg: dict) -> str:
     p = cfg["params"]
-    if "edges" in p:
-        A = adjacency_from_edges(p["edges"], n=p.get("n"))
-    else:
-        A = read_edge_list(p["edges_file"], n=p.get("n"))
+    A = p["edges"] if p["edges"] is not None else p["edges_file"]
     value = hafnian(A)
-    is_binary = bool(np.isin(A, (0.0, 1.0)).all())
-    matchings = None
-    if is_binary and A.shape[0] <= 16:
-        matchings = perfect_matching_count(A)
+    # On a 0/1 graph the hafnian counts the perfect matchings; up to the
+    # 20-vertex cap that count, at most 19!!, is exact in a float.
+    matchings = int(value) if np.isin(A, (0.0, 1.0)).all() else None
     _write_json(cfg["output"], {"hafnian": _round12(value), "matchings": matchings})
     return f"hafnian: wrote {cfg['output']} (n={A.shape[0]}, hafnian={value:g})"
 
@@ -543,7 +453,7 @@ def _run_hafnian(cfg: dict) -> str:
 def _run_qpe(cfg: dict) -> str:
     p = cfg["params"]
     d, t = p["d"], p["t"]
-    phi = float(p["phase"]) % 1.0
+    phi = p["phase"] % 1.0
     reg = QumodeRegister((d,))
     levels = np.arange(d)
     U = Operator(np.diag(np.exp(2j * np.pi * phi * levels)), reg)
@@ -559,9 +469,9 @@ def _run_qpe(cfg: dict) -> str:
         "modal_probability": _round12(dist[modal]),
         "phase_estimate": _round12(phase_from_outcome(modal, d, t)),
     }
-    shots = p.get("shots", 0)
+    shots = p["shots"]
     if shots > 0:
-        seed = cfg.get("seed", 0)
+        seed = cfg["seed"]
         counts = sample_readout(dist, shots, seed)
         out["shots"] = shots
         out["seed"] = seed
@@ -575,36 +485,26 @@ def _run_qpe(cfg: dict) -> str:
     )
 
 
-_RUNNERS = {
-    "vibronic": _run_vibronic,
-    "sbm-evolve": _run_sbm_evolve,
-    "kerrcat-sweep": _run_kerrcat,
-    "doublewell": _run_doublewell,
-    "hafnian": _run_hafnian,
-    "qpe": _run_qpe,
+# experiment -> (parameter table, runner)
+_EXPERIMENTS = {
+    "vibronic": (_VIBRONIC, _run_vibronic),
+    "sbm-evolve": (_SBM, _run_sbm_evolve),
+    "kerrcat-sweep": (_KERRCAT, _run_kerrcat),
+    "doublewell": (_DOUBLEWELL, _run_doublewell),
+    "hafnian": (_HAFNIAN, _run_hafnian),
+    "qpe": (_QPE, _run_qpe),
 }
 
 
 def run(config_path: str) -> int:
     """Validate and execute one experiment config; returns the exit status."""
     try:
-        cfg = _load_config(config_path)
-    except OSError as exc:
-        print(f"error: cannot read {config_path}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except json.JSONDecodeError as exc:
-        print(f"error: config: invalid JSON: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-
-    diags = validate_config(cfg)
-    errors = [d for d in diags if d.severity == "error"]
-    for d in diags:
-        print(str(d), file=sys.stderr)
-    if errors:
-        return EXIT_VALIDATION
-
-    try:
-        summary = _RUNNERS[cfg["experiment"]](cfg)
+        diags, values = _check_file(config_path)
+        for d in diags:
+            print(str(d), file=sys.stderr)
+        if any(d.severity == "error" for d in diags):
+            return EXIT_VALIDATION
+        summary = _EXPERIMENTS[values["experiment"]][1](values)
     except ConvergenceError as exc:
         print(f"error: convergence: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
@@ -663,12 +563,11 @@ def main(argv: list[str] | None = None) -> int:
         try:
             diags = validate(args.config)
         except OSError as exc:
-            print(f"error: cannot read {args.config}: {exc}", file=sys.stderr)
+            print(f"error: I/O: {exc}", file=sys.stderr)
             return EXIT_IO
         for d in diags:
             print(str(d))
-        errors = [d for d in diags if d.severity == "error"]
-        if errors:
+        if any(d.severity == "error" for d in diags):
             return EXIT_VALIDATION
         print(f"ok: {args.config} is runnable")
         return EXIT_OK

@@ -112,6 +112,159 @@ def test_unknown_keys_rejected(tmp_path):
     assert "params.surprise" in fields
 
 
+# Characterization of config validation: for each bad config, the exact set of
+# (severity, field) pairs it reports. Each case starts from a valid config of
+# its experiment and applies a change; DROP removes a key.
+
+DROP = object()
+INF, NAN = float("inf"), float("nan")
+
+VALID_PARAMS = {
+    "vibronic": {"freqs": [1.0, 1.5]},
+    "sbm-evolve": {"hamiltonian": "fmo4", "initial": 1, "times": [0.0, 1.0]},
+    "kerrcat-sweep": {"xi_grid": [0.0, 1.0], "cutoff": 30, "n_levels": 4},
+    "doublewell": {"k4": 1.0, "k2": 2.0, "cutoff": 30, "n_levels": 4},
+    "hafnian": {"edges": [[1, 2]]},
+    "qpe": {"d": 3, "t": 1, "phase": 0.5},
+}
+
+
+def errors(*fields):
+    return {("error", f) for f in fields}
+
+
+BAD_PARAMS = [
+    ("vibronic", {"freqs": DROP}, errors("params.freqs")),
+    ("vibronic", {"freqs": [1.0, -1.0]}, errors("params.freqs")),
+    ("vibronic", {"freqs": [1.0]}, errors("params.freqs")),
+    ("vibronic", {"alpha1": "x"}, errors("params.alpha1")),
+    ("vibronic", {"alpha1": [1.0, 2.0, 3.0]}, errors("params.alpha1")),
+    ("vibronic", {"alpha1": INF}, errors("params.alpha1")),
+    ("vibronic", {"z2": [0.1, NAN]}, errors("params.z2")),
+    ("vibronic", {"theta_bs": "a"}, errors("params.theta_bs")),
+    ("vibronic", {"phi_bs": INF}, errors("params.phi_bs")),
+    ("vibronic", {"e00": NAN}, errors("params.e00")),
+    ("vibronic", {"cutoff": 1}, errors("params.cutoff")),
+    ("vibronic", {"cutoff": 2.5}, errors("params.cutoff")),
+    ("vibronic", {"cutoff": 4, "initial": [4, 0]}, errors("params.initial")),
+    ("vibronic", {"cutoff": 4, "maxq": 4}, errors("params.maxq")),
+    ("vibronic", {"initial": [0]}, errors("params.initial")),
+    ("vibronic", {"cutoff": 1, "initial": [20, 0]}, errors("params.cutoff", "params.initial")),
+    ("vibronic", {"note": 5, "foo": 1}, errors("params.note", "params.foo")),
+    ("sbm-evolve", {"hamiltonian": DROP}, errors("params.hamiltonian")),
+    ("sbm-evolve", {"hamiltonian": [[1.0, 2.0], [3.0, 1.0]]}, errors("params.hamiltonian")),
+    ("sbm-evolve", {"hamiltonian": [[1.0, 2.0], [2.0]]}, errors("params.hamiltonian")),
+    ("sbm-evolve", {"hamiltonian": "fmo5"}, errors("params.hamiltonian")),
+    ("sbm-evolve", {"units": "dimensionless"}, errors("params.units")),
+    ("sbm-evolve", {"units": "eV"}, errors("params.units")),
+    ("sbm-evolve", {"hamiltonian": [[1.0, 0.5], [0.5, 2.0]], "units": "eV"}, errors("params.units")),
+    ("sbm-evolve", {"cutoff": 5}, errors("params.cutoff")),
+    ("sbm-evolve", {"initial": 5}, errors("params.initial")),
+    ("sbm-evolve", {"initial": [1.0, 0.0]}, errors("params.initial")),
+    ("sbm-evolve", {"initial": [0.5, 0.5, 0.5, 0.4]}, errors("params.initial")),
+    ("sbm-evolve", {"initial": [[0.5, 0.5], 0.5, "x", 0.5]}, errors("params.initial")),
+    ("sbm-evolve", {"initial": "a"}, errors("params.initial")),
+    ("sbm-evolve", {"times": DROP, "initial": DROP}, errors("params.times", "params.initial")),
+    ("sbm-evolve", {"times": {"start": 0.0, "stop": 1.0}}, errors("params.times")),
+    ("sbm-evolve", {"times": {"start": 0.0, "stop": 1.0, "num": 0}}, errors("params.times")),
+    ("sbm-evolve", {"times": []}, errors("params.times")),
+    ("sbm-evolve", {"times": "soon"}, errors("params.times")),
+    ("kerrcat-sweep", {"cutoff": -3}, errors("params.cutoff")),
+    ("kerrcat-sweep", {"cutoff": "x"}, errors("params.cutoff")),
+    ("kerrcat-sweep", {"n_levels": 40}, errors("params.n_levels")),
+    ("kerrcat-sweep", {"n_levels": 0}, errors("params.n_levels")),
+    ("kerrcat-sweep", {"xi_grid": DROP}, errors("params.xi_grid")),
+    ("kerrcat-sweep", {"xi_grid": [-1.0]}, errors("params.xi_grid")),
+    ("kerrcat-sweep", {"xi_grid": []}, errors("params.xi_grid")),
+    ("kerrcat-sweep", {"xi_grid": [1.0, 0.0]}, {("warning", "params.xi_grid")}),
+    ("kerrcat-sweep", {"K": NAN}, errors("params.K")),
+    ("kerrcat-sweep", {"K": "k"}, errors("params.K")),
+    ("kerrcat-sweep", {"dos_xi": 1.0}, errors("params.dos_output")),
+    ("kerrcat-sweep", {"dos_output": "dos.csv"}, errors("params.dos_output")),
+    ("kerrcat-sweep", {"dos_xi": -1.0, "dos_output": "dos.csv"}, errors("params.dos_xi")),
+    ("kerrcat-sweep", {"dos_xi": 1.0, "dos_output": ""}, errors("params.dos_output")),
+    ("kerrcat-sweep", {"dos_bins": 5, "dos_span": 0.0}, errors("params.dos_bins", "params.dos_span")),
+    ("doublewell", {"k4": -1.0}, errors("params.k4")),
+    ("doublewell", {"k4": 0.0, "k2": 1.0}, errors("params.k4")),
+    ("doublewell", {"k2": DROP}, errors("params.k2")),
+    ("doublewell", {"k4": "x"}, errors("params.k4")),
+    ("doublewell", {"mass": 0.0}, errors("params.mass")),
+    ("doublewell", {"k4": -1.0, "mass": -1.0}, errors("params.k4", "params.mass")),
+    ("doublewell", {"k1": INF}, errors("params.k1")),
+    ("doublewell", {"cutoff": 1}, errors("params.cutoff")),
+    ("doublewell", {"cutoff": 1, "n_levels": 8}, errors("params.cutoff")),
+    ("doublewell", {"n_levels": 31}, errors("params.n_levels")),
+    ("doublewell", {"n_levels": DROP}, errors("params.n_levels")),
+    ("hafnian", {"edges": DROP}, errors("params.edges")),
+    ("hafnian", {"edges_file": "graph.txt"}, errors("params.edges")),
+    ("hafnian", {"edges": [[1]]}, errors("params.edges")),
+    ("hafnian", {"edges": [[1, 2, "w"]]}, errors("params.edges")),
+    ("hafnian", {"edges": DROP, "edges_file": ""}, errors("params.edges_file")),
+    ("hafnian", {"n": 0}, errors("params.n")),
+    ("qpe", {"d": 1}, errors("params.d")),
+    ("qpe", {"t": 0}, errors("params.t")),
+    ("qpe", {"d": 4, "t": 6}, errors("params.t")),
+    ("qpe", {"phase": DROP}, errors("params.phase")),
+    ("qpe", {"phase": "x"}, errors("params.phase")),
+    ("qpe", {"shots": -1, "seed": 1}, errors("params.shots", "params.seed")),
+]
+
+BAD_TOP_LEVEL = [
+    ({"output": DROP}, errors("output")),
+    ({"output": ""}, errors("output")),
+    ({"seed": "a"}, errors("seed")),
+    ({"threads": 0}, errors("threads")),
+    ({"params": "x"}, errors("params")),
+    ({"params": DROP}, errors("params")),
+    ({"experiment": DROP}, errors("experiment")),
+    ({"experiment": "nope"}, errors("experiment")),
+    ({"extra": True}, errors("extra")),
+]
+
+
+def changed(base, change):
+    out = dict(base)
+    for key, value in change.items():
+        if value is DROP:
+            out.pop(key)
+        else:
+            out[key] = value
+    return out
+
+
+def reported(tmp_path, cfg):
+    diags = cli.validate(write_config(tmp_path, cfg))
+    return {(d.severity, d.field) for d in diags}
+
+
+@pytest.mark.parametrize(
+    "experiment, change, expected",
+    BAD_PARAMS,
+    ids=[f"{exp}-{i}" for i, (exp, _, _) in enumerate(BAD_PARAMS)],
+)
+def test_bad_params_diagnostics(in_tmp, experiment, change, expected):
+    (in_tmp / "graph.txt").write_text("1 2\n3 4\n")
+    params = changed(VALID_PARAMS[experiment], change)
+    cfg = {"experiment": experiment, "params": params, "output": "out"}
+    assert reported(in_tmp, cfg) == expected
+
+
+@pytest.mark.parametrize("change, expected", BAD_TOP_LEVEL)
+def test_bad_top_level_diagnostics(tmp_path, change, expected):
+    base = {"experiment": "vibronic", "params": VALID_PARAMS["vibronic"], "output": "out"}
+    assert reported(tmp_path, changed(base, change)) == expected
+
+
+def test_top_level_must_be_object(tmp_path):
+    assert reported(tmp_path, [1, 2]) == errors("config")
+
+
+def test_valid_params_have_no_diagnostics(in_tmp):
+    for experiment, params in VALID_PARAMS.items():
+        cfg = {"experiment": experiment, "params": params, "output": "out"}
+        assert reported(in_tmp, cfg) == set(), experiment
+
+
 def test_invalid_json_is_validation_failure(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -161,18 +314,50 @@ def test_fmo_rows_sum_to_one(in_tmp):
         assert abs(sum(pops) - 1.0) < 1e-8
 
 
-def test_threads_do_not_change_results(in_tmp, tmp_path):
-    base = {
+def test_threads_key_rejected(in_tmp, tmp_path, capsys):
+    cfg = {
         "experiment": "kerrcat-sweep",
-        "params": {"xi_grid": [0.0, 0.5, 1.0, 1.5], "cutoff": 40, "n_levels": 6},
-        "output": "sweep1.csv",
+        "params": {"xi_grid": [0.0, 0.5], "cutoff": 30, "n_levels": 4},
+        "output": "sweep.csv",
+        "threads": 2,
     }
-    assert cli.run(write_config(tmp_path, base, "a.json")) == 0
-    threaded = dict(base, output="sweep2.csv", threads=3)
-    assert cli.run(write_config(tmp_path, threaded, "b.json")) == 0
-    a = open("sweep1.csv").read()
-    b = open("sweep2.csv").read()
-    assert a == b
+    assert cli.run(write_config(tmp_path, cfg)) == 1
+    assert "error: threads: unknown key" in capsys.readouterr().err
+    assert not (in_tmp / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "params, field",
+    [
+        ({"edges": [[1, 1]]}, "params.edges"),
+        ({"edges": [[2 * i + 1, 2 * i + 2] for i in range(11)]}, "params.edges"),
+        ({"edges_file": "bad.txt"}, "params.edges_file"),
+        ({"edges": [[1, 5]], "n": 3}, "params.edges"),
+        ({"edges": []}, "params.edges"),
+    ],
+    ids=["self-loop", "22-vertices", "malformed-file", "vertex-beyond-n", "no-edges"],
+)
+def test_bad_graph_is_field_error(in_tmp, tmp_path, capsys, params, field):
+    (in_tmp / "bad.txt").write_text("1 2\n3 x\n")
+    cfg = {"experiment": "hafnian", "params": params, "output": "h.json"}
+    assert cli.run(write_config(tmp_path, cfg)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ")
+    assert not (in_tmp / "h.json").exists()
+
+
+def test_missing_edges_file_is_io_failure(in_tmp, tmp_path, capsys):
+    cfg = {"experiment": "hafnian", "params": {"edges_file": "absent.txt"}, "output": "h.json"}
+    assert cli.run(write_config(tmp_path, cfg)) == 3
+    assert "absent.txt" in capsys.readouterr().err
+
+
+def test_hafnian_reports_matchings_beyond_16_vertices(in_tmp, tmp_path):
+    # The 18-vertex cycle has exactly two perfect matchings.
+    ring = [[i + 1, (i + 1) % 18 + 1] for i in range(18)]
+    cfg = {"experiment": "hafnian", "params": {"edges": ring}, "output": "ring.json"}
+    assert cli.run(write_config(tmp_path, cfg)) == 0
+    assert json.loads(open("ring.json").read()) == {"hafnian": 2.0, "matchings": 2}
 
 
 def test_qpe_output_structure(in_tmp):
