@@ -30,9 +30,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError
-from .fock import Operator, QumodeRegister, basis_state
+from .fock import Operator, QumodeRegister, StateVector, basis_state, flat_index
 from .gates import top_level_population
-from .graphs import MAX_HAFNIAN_SIZE, adjacency_from_edges, hafnian, read_edge_list
+from .graphs import MAX_HAFNIAN_SIZE, _read_edges, adjacency_from_edges, hafnian
 from .kerrcat import (
     DoubleWellParams,
     KerrCatParams,
@@ -258,11 +258,14 @@ _DOUBLEWELL = {
 }
 
 
-def _graph(A: np.ndarray) -> np.ndarray:
-    """The adjacency matrix, refused when ``hafnian`` would refuse it."""
-    if A.shape[0] % 2 == 0 and A.shape[0] > MAX_HAFNIAN_SIZE:
-        raise ValueError(f"hafnian limited to dimension {MAX_HAFNIAN_SIZE}, got {A.shape[0]}")
-    return A
+def _graph(edges: list, v: dict) -> np.ndarray:
+    """The adjacency matrix; a graph above the hafnian's cap is refused before
+    it is built. A given ``n`` is capped by its table bound."""
+    if v["n"] is None:
+        size = max((max(e[0], e[1]) for e in edges), default=0)
+        if size > MAX_HAFNIAN_SIZE:
+            raise ValueError(f"hafnian limited to dimension {MAX_HAFNIAN_SIZE}, got {size}")
+    return adjacency_from_edges(edges, n=v["n"])
 
 
 def _is_edge(e) -> bool:
@@ -273,9 +276,9 @@ _EDGES = ("a list of [i, j] or [i, j, weight]", lambda x: _is_list(x, _is_edge))
 
 
 _HAFNIAN = {
-    "n": _Field(_INT, None, lo=1),
-    "edges": _Field(_EDGES, None, make=lambda x, v: _graph(adjacency_from_edges(x, n=v["n"]))),
-    "edges_file": _Field(_PATH, None, make=lambda x, v: _graph(read_edge_list(x, n=v["n"]))),
+    "n": _Field(_INT, None, lo=1, hi=MAX_HAFNIAN_SIZE),
+    "edges": _Field(_EDGES, None, make=_graph),
+    "edges_file": _Field(_PATH, None, make=lambda x, v: _graph(_read_edges(x), v)),
 }
 
 
@@ -381,9 +384,10 @@ def _run_vibronic(cfg: dict) -> str:
     table = fcf_table(U, p["initial"], p["maxq"])
     spectrum = stick_spectrum(table, p["freqs"], p["e00"])
     spectrum.write_csv(cfg["output"], header=("energy", "weight"))
-    # Truncation stress of the row state U^dag |initial>: if its top levels
-    # are empty, the tabulated factors are converged in the cutoff.
-    row_state = U.adjoint.apply(basis_state(reg, p["initial"]))
+    # Truncation stress of the row state U^dag |initial>, the conjugate of the
+    # row fcf_table reads: if its top levels are empty, the tabulated factors
+    # are converged in the cutoff.
+    row_state = StateVector(U.entries[flat_index(p["initial"], reg)].conj(), reg)
     leak = float(top_level_population(row_state).max())
     return (
         f"vibronic: wrote {cfg['output']} ({len(spectrum)} lines, "

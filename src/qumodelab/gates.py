@@ -34,6 +34,7 @@ from .fock import (
     Operator,
     QumodeRegister,
     StateVector,
+    _single_mode_annihilation,
     annihilation,
     embed_single_mode,
     identity,
@@ -112,7 +113,7 @@ def _expm_antihermitian(G: np.ndarray) -> np.ndarray:
 
 
 def _single_mode_unitary(kind: str, param: complex, d: int) -> np.ndarray:
-    a = np.diag(np.sqrt(np.arange(1, d, dtype=float)), k=1).astype(complex)
+    a = _single_mode_annihilation(d)
     adag = a.conj().T
     if kind == "displacement":
         G = param * adag - np.conjugate(param) * a

@@ -52,6 +52,7 @@ def hafnian(A) -> float:
     if n == 0:
         return 1.0
 
+    rows = A.tolist()  # Python floats: no numpy scalar per lookup
     cache: dict[int, float] = {}
 
     def haf(mask: int) -> float:
@@ -67,13 +68,15 @@ def hafnian(A) -> float:
         while js:
             j = (js & -js).bit_length() - 1
             js &= js - 1
-            w = A[i, j]
+            w = rows[i][j]
             if w != 0.0:
                 total += w * haf(rest & ~(1 << j))
         cache[mask] = total
         return total
 
-    return haf((1 << n) - 1)
+    value = haf((1 << n) - 1)
+    del haf  # haf refers to itself; break the cycle so the cache is freed now
+    return value
 
 
 def _pairings(items: tuple[int, ...]):
@@ -151,11 +154,8 @@ def adjacency_from_edges(edges, n: int | None = None) -> np.ndarray:
     return A
 
 
-def read_edge_list(path, n: int | None = None) -> np.ndarray:
-    """Parse an edge-list file: one ``i j [weight]`` per line, 1-indexed.
-
-    Blank lines and lines starting with ``#`` are skipped.
-    """
+def _read_edges(path) -> list[tuple]:
+    """The ``(i, j)`` and ``(i, j, weight)`` tuples of an edge-list file."""
     edges = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -165,9 +165,16 @@ def read_edge_list(path, n: int | None = None) -> np.ndarray:
             parts = line.split()
             if len(parts) not in (2, 3):
                 raise ValueError(f"{path}:{lineno}: expected 'i j [weight]', got {raw!r}")
-            i, j = int(parts[0]), int(parts[1])
-            if len(parts) == 3:
-                edges.append((i, j, float(parts[2])))
-            else:
-                edges.append((i, j))
-    return adjacency_from_edges(edges, n=n)
+            try:
+                edges.append((int(parts[0]), int(parts[1]), *map(float, parts[2:])))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return edges
+
+
+def read_edge_list(path, n: int | None = None) -> np.ndarray:
+    """Parse an edge-list file: one ``i j [weight]`` per line, 1-indexed.
+
+    Blank lines and lines starting with ``#`` are skipped.
+    """
+    return adjacency_from_edges(_read_edges(path), n=n)

@@ -9,6 +9,11 @@ register maps the accumulated phase onto the computational basis. For an
 eigenphase ``phi = a / d^t`` the readout is exactly the base-d digits of
 ``a``; otherwise the distribution concentrates on the nearest t-digit
 approximations.
+
+The controlled powers multiply to ``sum_x |x><x| (x) U^x`` over the register
+readout ``x``, so :func:`run_qpe` computes the readout as one statevector pass
+over the ``d^t`` vectors ``U^x |eigenstate>`` and an FFT; :func:`qpe_circuit`,
+the full circuit unitary, is its small-size oracle.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -91,6 +97,17 @@ def qudit_fourier(d: int) -> Operator:
     return Operator(F, QumodeRegister((d,)))
 
 
+def _controlled(W: np.ndarray, n: int) -> np.ndarray:
+    """Block ladder ``sum_c |c><c| (x) W^c`` over ``n`` control values."""
+    m = W.shape[0]
+    out = np.zeros((n * m, n * m), dtype=complex)
+    block = np.eye(m, dtype=complex)
+    for c in range(n):
+        out[c * m : (c + 1) * m, c * m : (c + 1) * m] = block
+        block = block @ W
+    return out
+
+
 def controlled_power(U: Operator, j: int, d: int) -> Operator:
     """Two-qudit gate ``sum_c |c><c| (x) U^(c d^j)`` on control (x) target."""
     if j < 0:
@@ -99,61 +116,31 @@ def controlled_power(U: Operator, j: int, d: int) -> Operator:
         raise ValueError("U must act on a single qudit of dimension d")
     _check_unitary(U.entries, "U")
     W = np.linalg.matrix_power(U.entries, d**j)
-    reg = QumodeRegister((d, d))
-    out = np.zeros((d * d, d * d), dtype=complex)
-    block = np.eye(d, dtype=complex)
-    for c in range(d):
-        out[c * d : (c + 1) * d, c * d : (c + 1) * d] = block
-        block = block @ W
-    return Operator(out, reg)
-
-
-def _embed(matrix: np.ndarray, dims_before: int, dims_after: int) -> np.ndarray:
-    return np.kron(np.kron(np.eye(dims_before), matrix), np.eye(dims_after))
+    return Operator(_controlled(W, d), QumodeRegister((d, d)))
 
 
 def qpe_circuit(spec: QpeSpec) -> Operator:
-    """Full circuit unitary on the ``t + 1`` qudit register + target space."""
-    d, t = spec.d, spec.t
-    reg = QumodeRegister((d,) * t + (d,))
-    dim_reg = d**t
-    F = qudit_fourier(d).entries
+    """Full circuit unitary on the ``t + 1`` qudit register + target space.
 
-    circuit = np.eye(dim_reg * d, dtype=complex)
-    # Fourier-prepare every register qudit.
-    for i in range(1, t + 1):
-        circuit = _embed(F, d ** (i - 1), d ** (t - i) * d) @ circuit
-    # Controlled powers: register qudit i carries digit weight d^(t - i), so
-    # it controls U^(d^(t - i)). Built as |c><c| (x) I_spectators (x) U^(c w)
-    # with the target sitting on the last mode.
-    for i in range(1, t + 1):
-        before, between = d ** (i - 1), d ** (t - i)
-        span = between * d
-        full = np.zeros((d * span, d * span), dtype=complex)
-        W = np.linalg.matrix_power(spec.U.entries, d ** (t - i))
-        block = np.eye(d, dtype=complex)
-        for c in range(d):
-            full[c * span : (c + 1) * span, c * span : (c + 1) * span] = np.kron(
-                np.eye(between), block
-            )
-            block = block @ W
-        circuit = _embed(full, before, 1) @ circuit
-    # Inverse Fourier transform over the whole register, read as one base-d
-    # integer with qudit 1 most significant (the flat-index convention).
-    F_reg_inv = qudit_fourier(dim_reg).entries.conj().T
-    circuit = np.kron(F_reg_inv, np.eye(d)) @ circuit
-    return Operator(circuit, reg)
+    The controlled powers form one ladder over the register readout, read as
+    a base-d integer with qudit 1 most significant (the flat-index convention).
+    """
+    d, t = spec.d, spec.t
+    prepare = np.kron(reduce(np.kron, [qudit_fourier(d).entries] * t), np.eye(d))
+    readout = np.kron(qudit_fourier(d**t).entries.conj().T, np.eye(d))
+    circuit = readout @ _controlled(spec.U.entries, d**t) @ prepare
+    return Operator(circuit, QumodeRegister((d,) * (t + 1)))
 
 
 def run_qpe(spec: QpeSpec) -> np.ndarray:
     """Exact outcome distribution over the ``d^t`` register readouts."""
-    d, t = spec.d, spec.t
-    reg = QumodeRegister((d,) * t + (d,))
-    psi0 = np.zeros(reg.dim, dtype=complex)
-    psi0[: d] = spec.eigenstate.amplitudes  # |0...0> (x) |eigenstate>
-    final = qpe_circuit(spec).entries @ psi0
-    probs = np.abs(final.reshape(d**t, d)) ** 2
-    return probs.sum(axis=1)
+    n = spec.d**spec.t
+    kicked = np.empty((n, spec.d), dtype=complex)  # row x: U^x |eigenstate>
+    kicked[0] = spec.eigenstate.amplitudes
+    for x in range(1, n):
+        kicked[x] = spec.U.entries @ kicked[x - 1]
+    final = np.fft.fft(kicked, axis=0) / n  # qudit_fourier(n)^dag @ kicked / sqrt(n)
+    return (np.abs(final) ** 2).sum(axis=1)
 
 
 def outcome_digits(outcome: int, d: int, t: int) -> str:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -327,23 +328,50 @@ def test_threads_key_rejected(in_tmp, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "params, field",
+    "params, field, detail",
     [
-        ({"edges": [[1, 1]]}, "params.edges"),
-        ({"edges": [[2 * i + 1, 2 * i + 2] for i in range(11)]}, "params.edges"),
-        ({"edges_file": "bad.txt"}, "params.edges_file"),
-        ({"edges": [[1, 5]], "n": 3}, "params.edges"),
-        ({"edges": []}, "params.edges"),
+        ({"edges": [[1, 1]]}, "params.edges", "self-loop"),
+        ({"edges": [[2 * i + 1, 2 * i + 2] for i in range(11)]}, "params.edges", "got 22"),
+        ({"edges_file": "bad.txt"}, "params.edges_file", "bad.txt:2: "),
+        ({"edges": [[1, 5]], "n": 3}, "params.edges", "outside 1..3"),
+        ({"edges": []}, "params.edges", "empty edge list"),
+        ({"edges": [[1, 2]], "n": 3000}, "params.n", "1..20"),
+        ({"edges": [[1, 3001]]}, "params.edges", "got 3001"),
+        ({"edges_file": "big.txt"}, "params.edges_file", "got 3001"),
     ],
-    ids=["self-loop", "22-vertices", "malformed-file", "vertex-beyond-n", "no-edges"],
+    ids=[
+        "self-loop",
+        "22-vertices",
+        "malformed-file",
+        "vertex-beyond-n",
+        "no-edges",
+        "n-3000",
+        "label-3001",
+        "file-label-3001",
+    ],
 )
-def test_bad_graph_is_field_error(in_tmp, tmp_path, capsys, params, field):
+def test_bad_graph_is_field_error(in_tmp, tmp_path, capsys, params, field, detail):
     (in_tmp / "bad.txt").write_text("1 2\n3 x\n")
+    (in_tmp / "big.txt").write_text("1 3001\n")
     cfg = {"experiment": "hafnian", "params": params, "output": "h.json"}
     assert cli.run(write_config(tmp_path, cfg)) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}: ")
+    assert detail in err
     assert not (in_tmp / "h.json").exists()
+
+
+def test_oversized_graph_refused_before_allocation(tmp_path):
+    cfg = {"experiment": "hafnian", "params": {"edges": [[1, 2]], "n": 3000}, "output": "h.json"}
+    path = write_config(tmp_path, cfg)
+    tracemalloc.start()
+    try:
+        diags = cli.validate(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(d.severity, d.field) for d in diags] == [("error", "params.n")]
+    assert peak < 2**20
 
 
 def test_missing_edges_file_is_io_failure(in_tmp, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,17 @@ def test_size_cap():
 
 def test_empty_matrix():
     assert hafnian(np.zeros((0, 0))) == 1.0
+
+
+def test_hafnian_frees_its_cache_on_return():
+    # The memo table must go with the call, not wait for the cyclic collector.
+    gc.collect()
+    gc.disable()
+    try:
+        hafnian(complete_graph(12))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,63 @@ def test_distribution_normalized_and_circuit_unitary():
     assert abs(dist.sum() - 1.0) < 1e-10
     C = qpe_circuit(spec).entries
     assert np.abs(C.conj().T @ C - np.eye(C.shape[0])).max() < 1e-10
+
+
+def circuit_readout(spec):
+    """Readout marginals of the full circuit unitary on |0...0> (x) |eigenstate>."""
+    psi0 = np.zeros(spec.d ** (spec.t + 1), dtype=complex)
+    psi0[: spec.d] = spec.eigenstate.amplitudes
+    final = qpe_circuit(spec).entries @ psi0
+    return (np.abs(final.reshape(spec.d**spec.t, spec.d)) ** 2).sum(axis=1)
+
+
+def pauli_x_minus_spec():
+    reg = QumodeRegister((2,))
+    U = Operator(np.array([[0.0, 1.0], [1.0, 0.0]]).astype(complex), reg)
+    minus = StateVector(np.array([1.0, -1.0]) / np.sqrt(2), reg)
+    return QpeSpec(d=2, t=2, U=U, eigenstate=minus)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [phase_spec(2, 3, 0.37), phase_spec(3, 2, 0.2), phase_spec(4, 2, 0.81), pauli_x_minus_spec()],
+    ids=["d2-t3", "d3-t2", "d4-t2", "pauli-x-minus"],
+)
+def test_run_qpe_matches_circuit_oracle(spec):
+    assert np.abs(run_qpe(spec) - circuit_readout(spec)).max() < 1e-12
+
+
+def test_distribution_is_fejer_kernel():
+    d, t, phi = 4, 4, 0.3137
+    n = d**t
+    dist = run_qpe(phase_spec(d, t, phi))
+    delta = phi - np.arange(n) / n
+    fejer = (np.sin(np.pi * n * delta) / (n * np.sin(np.pi * delta))) ** 2
+    assert np.abs(dist - fejer).max() < 1e-12
+
+
+def test_run_qpe_never_builds_the_circuit():
+    # The circuit unitary at d=8, t=3 is 4096 x 4096 complex: 256 MiB.
+    spec = phase_spec(8, 3, 0.3137)
+    tracemalloc.start()
+    try:
+        run_qpe(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+def test_run_qpe_builds_no_register_fourier_matrix():
+    # The register Fourier matrix at d=2, t=11 is 2048 x 2048 complex: 64 MiB.
+    spec = phase_spec(2, 11, 0.3137)
+    tracemalloc.start()
+    try:
+        run_qpe(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_global_phase_shifts_distribution_cyclically():
