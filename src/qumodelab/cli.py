@@ -47,7 +47,13 @@ from .qpe import (
     run_qpe,
     sample_readout,
 )
-from .sbm import DenseHamiltonian, computational_block, fmo_hamiltonian, map_hamiltonian, sbm_evolve
+from .sbm import (
+    DenseHamiltonian,
+    _evolve_block,
+    computational_block,
+    fmo_hamiltonian,
+    map_hamiltonian,
+)
 from .vibronic import DoktorovSpec, doktorov_operator, fcf_table, stick_spectrum
 
 __all__ = ["Diagnostic", "validate", "run", "list_demos", "demo_path", "main"]
@@ -308,6 +314,8 @@ def _rules(experiment: str, given: dict, values: dict):
             yield Diagnostic("warning", "params.xi_grid", "grid is not sorted ascending")
         if ("dos_xi" in given) != ("dos_output" in given):
             yield _err("params.dos_output", "give dos_output together with dos_xi, or neither")
+        if values.get("dos_xi") is not None and values["K"] <= 0:
+            yield _err("params.K", "the DOS window [0, dos_span * K * dos_xi^2] needs K > 0")
     if experiment == "hafnian" and ("edges" in given) == ("edges_file" in given):
         yield _err("params.edges", "give exactly one of edges or edges_file")
     if experiment == "qpe" and "d" in values and "t" in values:
@@ -398,11 +406,11 @@ def _run_vibronic(cfg: dict) -> str:
 def _run_sbm_evolve(cfg: dict) -> str:
     p = cfg["params"]
     H, cutoff, times = p["hamiltonian"], p["cutoff"], p["times"]
-    pops = sbm_evolve(H, p["initial"], times, cutoff)
+    block = computational_block(map_hamiltonian(H, cutoff), H.k)
+    pops = _evolve_block(block, H.units, p["initial"], times)
     header = ["time"] + [f"pop_{i + 1}" for i in range(H.k)]
     rows = ([t] + list(row) for t, row in zip(times, pops))
     _write_rows(cfg["output"], header, rows)
-    block = computational_block(map_hamiltonian(H, cutoff), H.k)
     restriction_err = float(np.abs(block - H.entries).max())
     return (
         f"sbm-evolve: wrote {cfg['output']} ({len(times)} times, k={H.k}, "

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, ConvergenceError
-from .fock import Operator, QumodeRegister, annihilation, number, quadratures
+from .fock import Operator, QumodeRegister, quadratures
 from .spectrum import Spectrum
 
 __all__ = [
@@ -120,13 +120,17 @@ class SpectrumSweep:
 
 
 def kerrcat_hamiltonian(p: KerrCatParams) -> Operator:
-    """K [ n (n - 1) - xi (adag^2 + a^2) ] on a single truncated mode."""
-    reg = QumodeRegister((p.cutoff,))
-    n = number(reg, 1).entries
-    a = annihilation(reg, 1).entries
-    adag = a.conj().T
-    H = p.K * (n @ (n - np.eye(p.cutoff)) - p.xi * (adag @ adag + a @ a))
-    return Operator(H, reg)
+    """K [ n (n - 1) - xi (adag^2 + a^2) ] on a single truncated mode.
+
+    Filled from its Fock-basis bands: ``K n (n - 1)`` on the diagonal and
+    ``-K xi <m|a^2|m+2> = -K xi sqrt(m+1) sqrt(m+2)`` on the two diagonals
+    two places off it.
+    """
+    n = np.arange(p.cutoff, dtype=float)
+    H = np.diag(p.K * (n * (n - 1.0)))
+    m = np.arange(p.cutoff - 2)
+    H[m, m + 2] = H[m + 2, m] = p.K * -(p.xi * (np.sqrt(m + 1.0) * np.sqrt(m + 2.0)))
+    return Operator(H, QumodeRegister((p.cutoff,)))
 
 
 def parity_split(H: Operator) -> tuple[Operator, Operator]:
@@ -235,19 +239,24 @@ def density_of_states(
 def metapotential_dos(p: KerrCatParams, bins: int = 10, span: float = 6.0) -> Spectrum:
     """Excitation-energy DOS over the metapotential region.
 
-    Histograms E' = E - E0 over the window ``[0, span * xi^2]``, i.e. the
-    double well (depth xi^2 in units of K) plus a comparable range above the
-    barrier. A uniform histogram over the full truncated spectrum cannot
-    expose the ESQPT pileup because the level spacing grows linearly with n,
-    which stacks the lowest bin regardless of binning; the windowed histogram
-    peaks at the barrier energy instead.
+    Histograms E' = E - E0 over the window ``[0, span * K * xi^2]``, i.e. the
+    double well (depth K xi^2) plus a comparable range above the barrier. A
+    uniform histogram over the full truncated spectrum cannot expose the
+    ESQPT pileup because the level spacing grows linearly with n, which
+    stacks the lowest bin regardless of binning; the windowed histogram peaks
+    at the barrier energy instead.
+
+    The window needs xi > 0 and K > 0: it is empty at K = 0, and for K < 0
+    the spectrum is inverted, so its lowest levels sit at the truncation edge.
     """
     if p.xi <= 0:
         raise ValueError("the metapotential window needs xi > 0")
+    if p.K <= 0:
+        raise ValueError(f"the metapotential window needs K > 0, got {p.K:g}")
     H = kerrcat_hamiltonian(p)
     evals = np.linalg.eigvalsh(H.entries)
     ex = evals - evals[0]
-    window = (0.0, span * abs(p.K) * p.xi**2)
+    window = (0.0, span * p.K * p.xi**2)
     kept = ex[(ex >= window[0]) & (ex <= window[1])]
     counts, edges = np.histogram(kept, bins=bins, range=window)
     centers = 0.5 * (edges[:-1] + edges[1:])

@@ -12,6 +12,15 @@ product above reaches level ``2(k-1)`` in intermediate states, so the
 truncated construction needs at least ``2k - 1`` retained levels; anything
 smaller corrupts the polynomial.
 
+:func:`map_hamiltonian` does not build the k^2 polynomials. ``Gamma^(k-1)``
+is the same in every term, so the sum factors as
+
+    sum_n adag^n Gamma^(k-1) (sum_m H_nm sqrt(m!/n!) adag^(k-1-m)) / ((k-1)!)^2,
+
+one ``Gamma^(k-1)``, one ladder of ``adag`` powers and O(k) matrix
+products. :func:`sbm_projector` builds one ``P_nm`` as written; it is the
+reference the factored map is tested against.
+
 Outside the lowest k levels the mapped operator is in general non-Hermitian
 and carries no meaning for the embedded dynamics, so time evolution here
 projects onto the computational levels first. The unprojected matrix stays
@@ -26,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .fock import Operator, QumodeRegister, annihilation, number
+from .fock import Operator, QumodeRegister, _single_mode_annihilation, annihilation, number
 
 __all__ = [
     "WAVENUMBER_TO_RAD_PER_PS",
@@ -144,14 +153,20 @@ def map_hamiltonian(H: DenseHamiltonian, cutoff: int) -> Operator:
     """
     k = H.k
     _check_mapping_args(k, cutoff)
-    reg = QumodeRegister((cutoff,))
-    out = np.zeros((cutoff, cutoff), dtype=complex)
-    for n in range(k):
-        for m in range(k):
-            coeff = H.entries[n, m]
-            if coeff != 0.0:
-                out += coeff * sbm_projector(n, m, k, cutoff).entries
-    return Operator(out, reg)
+    a = _single_mode_annihilation(cutoff).real
+    adag = a.T
+    ladder = [np.eye(cutoff)]  # adag^j for j = 0..k-1
+    for _ in range(k - 1):
+        ladder.append(adag @ ladder[-1])
+    ladder = np.array(ladder)
+    gamma = ((k - 1) * np.eye(cutoff) - adag @ a) @ a
+    # coeffs[n, m] = H_nm sqrt(m!/n!): the n-th right factor is
+    # sum_m coeffs[n, m] adag^(k-1-m).
+    fact = [math.factorial(j) for j in range(k)]
+    coeffs = H.entries * np.sqrt([[fm / fn for fm in fact] for fn in fact])
+    right = np.tensordot(coeffs, ladder[::-1], axes=1)
+    terms = ladder @ (np.linalg.matrix_power(gamma, k - 1) @ right)
+    return Operator(terms.sum(axis=0) / math.factorial(k - 1) ** 2, QumodeRegister((cutoff,)))
 
 
 def computational_block(op: Operator, k: int) -> np.ndarray:
@@ -182,9 +197,13 @@ def sbm_evolve(
         raise ValueError(f"initial state must have length {k}")
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-8:
         raise ValueError("initial state must be normalized")
-    mapped = map_hamiltonian(H, cutoff)
-    block = computational_block(mapped, k)
-    if H.units == "1/cm":
+    block = computational_block(map_hamiltonian(H, cutoff), k)
+    return _evolve_block(block, H.units, psi0, times)
+
+
+def _evolve_block(block: np.ndarray, units: str, psi0: np.ndarray, times) -> np.ndarray:
+    """Populations of ``psi0`` propagated under a restricted mapped block."""
+    if units == "1/cm":
         block = block * WAVENUMBER_TO_RAD_PER_PS
     # The restriction reproduces a Hermitian matrix up to round-off;
     # symmetrize before diagonalizing so the propagation is exactly unitary.

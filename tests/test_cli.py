@@ -413,6 +413,23 @@ def test_convergence_failure_exit_code(in_tmp, tmp_path, capsys):
     assert "convergence" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("K", [0.0, -1.0])
+def test_dos_needs_positive_kerr(in_tmp, tmp_path, capsys, K):
+    cfg = {
+        "experiment": "kerrcat-sweep",
+        "params": {"K": K, "xi_grid": [0.0, 1.0], "cutoff": 30, "n_levels": 4,
+                   "dos_xi": 2.0, "dos_output": "dos.csv"},
+        "output": "sweep.csv",
+    }
+    path = write_config(tmp_path, cfg)
+    assert reported(tmp_path, cfg) == errors("params.K")
+    assert cli.main(["validate", path]) == 1
+    assert "error: params.K: " in capsys.readouterr().out
+    assert cli.run(path) == 1
+    assert "error: params.K: " in capsys.readouterr().err
+    assert not (in_tmp / "dos.csv").exists()
+
+
 def test_main_subcommands(in_tmp, capsys):
     assert cli.main(["demos"]) == 0
     listing = capsys.readouterr().out

@@ -6,6 +6,8 @@ from qumodelab import (
     ConvergenceError,
     DoubleWellParams,
     KerrCatParams,
+    QumodeRegister,
+    annihilation,
     density_of_states,
     doublewell_hamiltonian,
     esqpt_energy,
@@ -32,6 +34,19 @@ def test_undriven_spectrum_is_number_polynomial():
     H = kerrcat_hamiltonian(KerrCatParams(xi=0.0, K=K, cutoff=12))
     n = np.arange(12)
     assert np.abs(H.entries - np.diag(K * n * (n - 1))).max() < 1e-12
+
+
+@pytest.mark.parametrize("cutoff", [4, 8, 60, 210])
+def test_hamiltonian_equals_ladder_products(cutoff):
+    # The band fill against K (adag a (adag a - I) - xi (adag^2 + a^2)).
+    a = annihilation(QumodeRegister((cutoff,)), 1).entries
+    adag = a.conj().T
+    n = adag @ a
+    for K in (1.3, -0.8):
+        for xi in (0.0, 0.7, 5.5):
+            oracle = K * (n @ (n - np.eye(cutoff)) - xi * (adag @ adag + a @ a))
+            H = kerrcat_hamiltonian(KerrCatParams(xi=xi, K=K, cutoff=cutoff)).entries
+            assert np.abs(H - oracle).max() <= 1e-15 * np.abs(oracle).max()
 
 
 def test_commutes_with_parity():
@@ -183,6 +198,16 @@ def test_metapotential_dos_peaks_at_barrier():
     assert peak < midpoint
     # the barrier of the metapotential sits at excitation energy K xi^2
     assert abs(peak - 25.0) <= (dos.energies[1] - dos.energies[0])
+
+
+@pytest.mark.parametrize("K", [0.0, -1.0])
+def test_metapotential_window_needs_positive_kerr(K):
+    # K = 0 gives a zero-width window; K < 0 inverts the spectrum.
+    params = KerrCatParams(xi=2.0, K=K, cutoff=60)
+    with pytest.raises(ValueError, match="K > 0"):
+        metapotential_dos(params)
+    with pytest.raises(ValueError, match="K > 0"):
+        esqpt_energy(params)
 
 
 # ---------------------------------------------------------------------------

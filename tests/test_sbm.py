@@ -60,6 +60,21 @@ def test_k3_projectors_reproduce_all_matrix_units():
             assert np.abs(computational_block(P, 3) - expected).max() < 1e-9
 
 
+@pytest.mark.parametrize("k", range(1, 7))
+def test_map_equals_sum_of_projector_polynomials(k):
+    # The factored map against the k^2 projector polynomials it replaces.
+    rng = np.random.default_rng(100 + k)
+    H = random_hermitian(k, rng)
+    for cutoff in (2 * k - 1, 2 * k + 5):
+        oracle = sum(
+            H[n, m] * sbm_projector(n, m, k, cutoff).entries
+            for n in range(k)
+            for m in range(k)
+        )
+        mapped = map_hamiltonian(DenseHamiltonian(H), cutoff).entries
+        assert np.abs(mapped - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
 def test_projector_validation():
     with pytest.raises(ValueError):
         sbm_projector(2, 0, k=2, cutoff=3)
