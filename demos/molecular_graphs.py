@@ -2,7 +2,7 @@
 
 The hafnian of an adjacency matrix counts perfect matchings, the quantity a
 Gaussian boson sampler estimates from photon statistics. Here both routes are
-exact and desk-sized: a subset-recursion hafnian and an independent
+exact and desk-sized: the power-trace hafnian and an independent
 brute-force pairing enumeration, cross-checked on every example, plus the
 sorted multiset of sub-hafnians as a cheap isomorphism-invariant fingerprint.
 """

@@ -455,9 +455,9 @@ def _run_hafnian(cfg: dict) -> str:
     p = cfg["params"]
     A = p["edges"] if p["edges"] is not None else p["edges_file"]
     value = hafnian(A)
-    # On a 0/1 graph the hafnian counts the perfect matchings; up to the
-    # 20-vertex cap that count, at most 19!!, is exact in a float.
-    matchings = int(value) if np.isin(A, (0.0, 1.0)).all() else None
+    # On a 0/1 graph the hafnian counts the perfect matchings; the count, at
+    # most 19!! at the 20-vertex cap, is the nearest integer to it.
+    matchings = round(value) if np.isin(A, (0.0, 1.0)).all() else None
     _write_json(cfg["output"], {"hafnian": _round12(value), "matchings": matchings})
     return f"hafnian: wrote {cfg['output']} (n={A.shape[0]}, hafnian={value:g})"
 

@@ -186,9 +186,6 @@ class Operator:
     def hermiticity_defect(self) -> float:
         return float(np.abs(self.entries - self.entries.conj().T).max())
 
-    def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
-        return self.hermiticity_defect() <= tol
-
     def apply(self, psi: StateVector) -> StateVector:
         self._check_register(psi.register)
         return StateVector(self.entries @ psi.amplitudes, self.register)

@@ -95,7 +95,8 @@ class SpectrumSweep:
 
     ``excitations[i, l]`` is the l-th excitation energy E' = E - E0 at
     ``xi[i]`` (sorted ascending, first entry zero); ``parities[i, l]`` is +1
-    for the even sector and -1 for the odd one.
+    for the even sector and -1 for the odd one. Levels that agree within
+    round-off are listed even first.
     """
 
     xi: np.ndarray
@@ -163,6 +164,9 @@ def _labelled_excitations(K: float, xi: float, cutoff: int, n_levels: int):
     labels = np.concatenate([np.ones(len(ev_e), int), -np.ones(len(ev_o), int)])
     order = np.argsort(energies, kind="stable")
     energies, labels = energies[order], labels[order]
+    # Levels equal within round-off (the cat pair at -K xi^2) are labelled even first.
+    split = np.diff(energies) > 8 * np.finfo(float).eps * np.abs(energies).max()
+    labels = labels[np.lexsort((-labels, np.r_[0, np.cumsum(split)]))]
     return energies[:n_levels] - energies[0], labels[:n_levels]
 
 

@@ -89,12 +89,6 @@ class DenseHamiltonian:
     def k(self) -> int:
         return self.entries.shape[0]
 
-    def angular_frequencies(self) -> np.ndarray:
-        """Entries converted to rad/ps when labelled 1/cm, else unchanged."""
-        if self.units == "1/cm":
-            return self.entries * WAVENUMBER_TO_RAD_PER_PS
-        return self.entries
-
 
 def fmo_hamiltonian() -> DenseHamiltonian:
     """The bundled 4-site FMO model (1/cm)."""

@@ -388,6 +388,15 @@ def test_hafnian_reports_matchings_beyond_16_vertices(in_tmp, tmp_path):
     assert json.loads(open("ring.json").read()) == {"hafnian": 2.0, "matchings": 2}
 
 
+def test_hafnian_reports_matchings_at_the_cap(in_tmp, tmp_path):
+    # K_20 has 19!! perfect matchings.
+    clique = [[i, j] for i in range(1, 21) for j in range(i + 1, 21)]
+    cfg = {"experiment": "hafnian", "params": {"edges": clique}, "output": "k20.json"}
+    assert cli.run(write_config(tmp_path, cfg)) == 0
+    assert '"matchings": 654729075' in open("k20.json").read()
+    assert json.loads(open("k20.json").read()) == {"hafnian": 654729075.0, "matchings": 654729075}
+
+
 def test_qpe_output_structure(in_tmp):
     assert cli.run(cli.demo_path("qpe-d3")) == 0
     out = json.loads(open("qpe_d3.json").read())

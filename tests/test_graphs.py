@@ -1,4 +1,6 @@
 import gc
+import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -31,6 +33,17 @@ def random_binary_graph(n, rng, p=0.5):
             if rng.random() < p:
                 A[i, j] = A[j, i] = 1.0
     return A
+
+
+def pairing_sum(A):
+    """The hafnian by its definition, a sum over all pairings: the reference."""
+    if len(A) == 0:
+        return 1.0
+    total = 0.0
+    for j in range(1, len(A)):
+        keep = [k for k in range(1, len(A)) if k != j]
+        total += A[0, j] * pairing_sum(A[np.ix_(keep, keep)])
+    return total
 
 
 def double_factorial(n):
@@ -73,6 +86,18 @@ def test_weighted_hafnian():
     assert hafnian(A) == pytest.approx(expected, abs=1e-14)
 
 
+@pytest.mark.parametrize("entries", ["positive", "signed"])
+def test_hafnian_equals_pairing_sum(entries):
+    # Round-off scales with the hafnian of |A|, which bounds every term.
+    rng = np.random.default_rng(59)
+    for n in range(2, 11, 2):
+        for _ in range(5):
+            X = rng.uniform(0.05, 0.95, (n, n)) if entries == "positive" else rng.normal(size=(n, n))
+            A = np.triu(X, 1)
+            A = A + A.T
+            assert abs(hafnian(A) - pairing_sum(A)) <= 1e-13 * pairing_sum(np.abs(A))
+
+
 def test_asymmetric_rejected():
     with pytest.raises(ValueError):
         hafnian(np.array([[0.0, 1.0], [0.5, 0.0]]))
@@ -88,7 +113,7 @@ def test_empty_matrix():
 
 
 def test_hafnian_frees_its_cache_on_return():
-    # The memo table must go with the call, not wait for the cyclic collector.
+    # The call must leave nothing behind for the cyclic collector.
     gc.collect()
     gc.disable()
     try:
@@ -96,6 +121,37 @@ def test_hafnian_frees_its_cache_on_return():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_complete_graph_hafnian_is_double_factorial(m):
+    assert hafnian(complete_graph(2 * m)) == double_factorial(2 * m - 1)
+
+
+def test_block_diagonal_count_at_the_cap():
+    rng = np.random.default_rng(43)
+    A, B = random_binary_graph(10, rng, p=0.6), random_binary_graph(10, rng, p=0.6)
+    M = np.zeros((20, 20))
+    M[:10, :10], M[10:, 10:] = A, B
+    expected = perfect_matching_count(A) * perfect_matching_count(B)
+    assert expected > 1
+    perm = rng.permutation(20)
+    assert hafnian(M) == expected
+    assert hafnian(M[np.ix_(perm, perm)]) == expected
+
+
+def test_hafnian_memory_is_bounded():
+    rng = np.random.default_rng(53)
+    A = np.triu(rng.uniform(0.05, 0.95, (20, 20)), 1)
+    A = A + A.T
+    hafnian(A)
+    tracemalloc.start()
+    try:
+        hafnian(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +195,16 @@ def test_signature_invariant_under_relabelling():
         perm = rng.permutation(n)
         B = A[np.ix_(perm, perm)]
         assert np.allclose(substructure_signature(A), substructure_signature(B))
+
+
+def test_signature_equals_per_submatrix_hafnians():
+    rng = np.random.default_rng(47)
+    A = np.triu(rng.uniform(0.05, 0.95, (10, 10)), 1)
+    A = A + A.T
+    expected = sorted(
+        hafnian(A[np.ix_(s, s)]) for size in (2, 4, 6, 8) for s in combinations(range(10), size)
+    )
+    np.testing.assert_allclose(substructure_signature(A), expected, rtol=1e-12, atol=0)
 
 
 def test_signature_separates_path_from_clique():

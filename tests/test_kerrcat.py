@@ -119,6 +119,19 @@ def test_sweep_excitations_non_negative_and_sorted():
     assert np.abs(sweep.excitations[:, 0]).max() == 0.0
 
 
+def test_degenerate_cat_pair_is_labelled_even_first():
+    # The lowest pair is exactly degenerate at -K xi^2, so its computed order is round-off.
+    grid = np.arange(0.0, 4.01, 0.5)
+    sweep = excitation_sweep(1.0, grid, cutoff=60, n_levels=12)
+    assert (sweep.parities[:, :2] == [1, -1]).all()
+    # The second pair is split by at least 1: its labels follow the computed energies.
+    for xi, parities in zip(grid, sweep.parities):
+        even, odd = parity_split(kerrcat_hamiltonian(KerrCatParams(xi=xi, K=1.0, cutoff=60)))
+        e, o = eig(even)[1], eig(odd)[1]
+        assert abs(e - o) >= 1.0
+        assert list(parities[2:4]) == ([1, -1] if e < o else [-1, 1])
+
+
 def test_sweep_convergence_error_names_xi():
     with pytest.raises(ConvergenceError, match="xi=4"):
         excitation_sweep(1.0, [0.0, 4.0], cutoff=10, n_levels=8)
