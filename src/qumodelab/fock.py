@@ -4,7 +4,9 @@ A register of N qumodes keeps ``d_j`` Fock levels for mode ``j`` (levels
 ``0 .. d_j - 1``). Multi-mode states live on the flattened tensor-product
 basis with mode 1 as the most significant digit, so the flat index of
 ``|n_1, n_2, ..., n_N>`` is ``sum_j n_j * prod_{k>j} d_k``. Everything is
-dense and works in units with hbar = 1.
+dense and works in units with hbar = 1. Operators are dense real or complex
+matrices: real input is stored as float64 and complex input as complex128,
+so a real symmetric Hamiltonian reaches the real eigensolver.
 
 Truncation convention: the creation operator drops the amplitude that would
 raise the top level ``d - 1`` out of the retained space. This keeps
@@ -158,15 +160,26 @@ def basis_state(reg: QumodeRegister, occupations: FockIndex) -> StateVector:
     return StateVector(amp, reg)
 
 
+def _real_or_complex_copy(entries) -> np.ndarray:
+    """A copy of ``entries`` as float64 when real (integer and bool too),
+    as complex128 when complex."""
+    m = np.asarray(entries)
+    return np.array(m, dtype=np.result_type(m, float))
+
+
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """Dense complex square matrix on the flattened register basis."""
+    """Dense real or complex square matrix on the flattened register basis.
+
+    Real (including integer and bool) entries are stored as float64,
+    complex ones as complex128.
+    """
 
     entries: np.ndarray
     register: QumodeRegister
 
     def __post_init__(self) -> None:
-        m = np.array(self.entries, dtype=complex)
+        m = _real_or_complex_copy(self.entries)
         if m.shape != (self.register.dim, self.register.dim):
             raise ValueError(
                 f"matrix of shape {m.shape} does not match register "

@@ -13,7 +13,7 @@ is special: the coherent states ``|+-sqrt(xi)>`` are exact degenerate
 eigenstates with energy ``-K xi^2``, so its splitting is zero at every drive
 and the first resolvable kissing pair is the next one up.
 
-The same quadrature machinery diagonalizes a chemical double-well Hamiltonian
+The same single-mode machinery diagonalizes a chemical double-well Hamiltonian
 
     H = p^2 / (2 m) + k4 x^4 - k2 x^2 + k1 x,
 
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, ConvergenceError
-from .fock import Operator, QumodeRegister, quadratures
+from .fock import Operator, QumodeRegister, _single_mode_annihilation
 from .spectrum import Spectrum
 
 __all__ = [
@@ -277,13 +277,17 @@ def esqpt_energy(p: KerrCatParams, bins: int = 10, span: float = 6.0) -> float:
 
 
 def doublewell_hamiltonian(p: DoubleWellParams) -> Operator:
-    """p^2/(2 m) + k4 x^4 - k2 x^2 + k1 x built from quadratures (hbar = 1)."""
-    reg = QumodeRegister((p.cutoff,))
-    x, mom = quadratures(reg, 1)
+    """p^2/(2 m) + k4 x^4 - k2 x^2 + k1 x (hbar = 1), a real symmetric matrix.
+
+    Built from the real ladder matrix ``a``, not from
+    :func:`~qumodelab.fock.quadratures`: ``x = sqrt(1/2) (adag + a)`` and
+    ``p^2 = -1/2 (adag - a)(adag - a)``, the same truncated products without
+    the factor ``i`` that would make them complex.
+    """
+    a = _single_mode_annihilation(p.cutoff).real
+    adag = a.T
+    x = math.sqrt(0.5) * (adag + a)
     x2 = x @ x
-    return (
-        (1.0 / (2.0 * p.mass)) * (mom @ mom)
-        + p.k4 * (x2 @ x2)
-        - p.k2 * x2
-        + p.k1 * x
-    )
+    mom2 = -0.5 * ((adag - a) @ (adag - a))
+    H = (1.0 / (2.0 * p.mass)) * mom2 + p.k4 * (x2 @ x2) - p.k2 * x2 + p.k1 * x
+    return Operator(H, QumodeRegister((p.cutoff,)))

@@ -35,7 +35,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .fock import Operator, QumodeRegister, _single_mode_annihilation, annihilation, number
+from .fock import (
+    Operator,
+    QumodeRegister,
+    _real_or_complex_copy,
+    _single_mode_annihilation,
+    annihilation,
+    number,
+)
 
 __all__ = [
     "WAVENUMBER_TO_RAD_PER_PS",
@@ -66,13 +73,17 @@ _FMO_ENTRIES = np.array(
 
 @dataclass(frozen=True, eq=False)
 class DenseHamiltonian:
-    """A k x k Hermitian matrix with a units label ("1/cm" or "dimensionless")."""
+    """A k x k Hermitian matrix with a units label ("1/cm" or "dimensionless").
+
+    Real entries are stored as float64 (a real symmetric matrix), complex ones
+    as complex128, the same rule as :class:`~qumodelab.fock.Operator`.
+    """
 
     entries: np.ndarray
     units: str = "dimensionless"
 
     def __post_init__(self) -> None:
-        m = np.array(self.entries, dtype=complex)
+        m = _real_or_complex_copy(self.entries)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"Hamiltonian must be square, got shape {m.shape}")
         defect = np.abs(m - m.conj().T).max()

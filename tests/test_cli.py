@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import pytest
@@ -56,6 +57,14 @@ def test_every_demo_runs_and_is_byte_stable(in_tmp):
         assert cli.run(path) == 0, name
         for out in outputs:
             assert open(out, "rb").read() == first[out], f"{name}:{out}"
+
+
+def test_doublewell_reports_cutoff_drift(in_tmp, capsys):
+    assert cli.run(cli.demo_path("doublewell-symmetric")) == 0
+    out = capsys.readouterr().out
+    drift = re.search(r"cutoff drift (\S+) vs cutoff 70\)", out)
+    assert drift is not None, out
+    assert abs(float(drift.group(1)) - 9.5e-6) < 1e-7
 
 
 # ---------------------------------------------------------------------------

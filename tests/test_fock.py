@@ -3,18 +3,27 @@ import pytest
 
 from qumodelab import (
     ContractViolation,
+    DoktorovSpec,
     Operator,
     QumodeRegister,
     StateVector,
     annihilation,
     basis_state,
+    beamsplitter,
     commutator,
+    compose_circuit,
     creation,
+    displacement,
+    doktorov_operator,
     evolve,
     flat_index,
+    gate_matrix,
     identity,
     number,
     quadratures,
+    qudit_fourier,
+    rotation,
+    squeezing,
     unflatten,
 )
 
@@ -251,3 +260,63 @@ def test_evolve_norm_and_taylor_oracle():
 def test_identity_helper():
     reg = QumodeRegister((3, 2))
     assert np.array_equal(identity(reg).entries, np.eye(6))
+
+
+# ---------------------------------------------------------------------------
+# dtype rule: real entries stay real, complex ones stay complex
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "entries, dtype",
+    [
+        (np.eye(3), np.float64),
+        (np.eye(3, dtype=np.float32), np.float64),
+        (np.eye(3, dtype=int), np.float64),
+        (np.eye(3, dtype=bool), np.float64),
+        ([[0, 1, 0], [1, 0, 0], [0, 0, 2]], np.float64),
+        (1j * np.eye(3), np.complex128),
+        (np.eye(3, dtype=np.complex64), np.complex128),
+        ([[0, 1j, 0], [-1j, 0, 0], [0, 0, 1]], np.complex128),
+    ],
+)
+def test_operator_dtype_rule(entries, dtype):
+    op = Operator(entries, QumodeRegister((3,)))
+    assert op.entries.dtype == dtype
+    assert np.array_equal(op.entries, np.asarray(entries))
+
+
+def test_operator_copies_its_input():
+    m = np.eye(3)
+    op = Operator(m, QumodeRegister((3,)))
+    m[0, 0] = 5.0
+    assert op.entries[0, 0] == 1.0
+
+
+def test_real_operator_arithmetic_and_evolution():
+    reg = QumodeRegister((2,))
+    sx = Operator([[0.0, 1.0], [1.0, 0.0]], reg)
+    assert (sx @ sx).entries.dtype == np.float64
+    assert (sx.adjoint - sx).entries.dtype == np.float64
+    assert (1j * sx).entries.dtype == np.complex128
+    out = evolve(sx, np.pi / 2, basis_state(reg, (0,)))
+    assert np.allclose(out.probabilities(), [0.0, 1.0], atol=1e-12)
+
+
+def test_complex_sources_stay_complex():
+    reg = QumodeRegister((4, 3))
+    gates = [
+        displacement(1, 0.3 + 0.1j),
+        rotation(2, 0.4),
+        squeezing(1, 0.2),
+        beamsplitter(1, 2, 0.5, 0.0),
+    ]
+    for gate in gates:
+        assert gate_matrix(gate, reg).entries.dtype == np.complex128, gate.kind
+    assert compose_circuit(gates, reg).entries.dtype == np.complex128
+    assert compose_circuit([], reg).entries.dtype == np.complex128
+    assert identity(reg).entries.dtype == np.complex128
+    assert annihilation(reg, 1).entries.dtype == np.complex128
+    assert qudit_fourier(3).entries.dtype == np.complex128
+    spec = DoktorovSpec(z1=0.1, z2=0.0, theta_bs=0.2, phi_bs=0.0, alpha1=0.3, alpha2=0.0)
+    assert doktorov_operator(spec, QumodeRegister((5, 5))).entries.dtype == np.complex128

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from qumodelab import (
     ConvergenceError,
     DoubleWellParams,
     KerrCatParams,
+    Operator,
     QumodeRegister,
     annihilation,
     density_of_states,
@@ -18,6 +21,7 @@ from qumodelab import (
     parity_split,
     quadratures,
 )
+from qumodelab import kerrcat
 
 
 def eig(H):
@@ -298,3 +302,55 @@ def test_cutoff_convergence_of_low_spectrum():
         e80 = eig(kerrcat_hamiltonian(KerrCatParams(xi=xi, K=1.0, cutoff=80)))[:20]
         e120 = eig(kerrcat_hamiltonian(KerrCatParams(xi=xi, K=1.0, cutoff=120)))[:20]
         assert np.abs(e80 - e120).max() < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# real symmetric path
+# ---------------------------------------------------------------------------
+
+
+def test_kerrcat_operators_are_real():
+    H = kerrcat_hamiltonian(KerrCatParams(xi=2.0, K=1.0, cutoff=21))
+    assert H.entries.dtype == np.float64
+    for block in parity_split(H):
+        assert block.entries.dtype == np.float64
+
+
+@pytest.mark.parametrize(
+    "k4, k2, k1, mass",
+    [(1.0, 4.0, 0.0, 1.0), (0.5, 6.0, 0.3, 2.0), (0.0, -0.5, 0.2, 0.7), (2.0, 0.0, -0.5, 0.5)],
+)
+@pytest.mark.parametrize("cutoff", [2, 3, 17, 60, 200])
+def test_doublewell_matches_quadrature_build(k4, k2, k1, mass, cutoff):
+    # Oracle: the same polynomial in the complex quadrature operators.
+    H = doublewell_hamiltonian(DoubleWellParams(k4, k2, k1, mass, cutoff)).entries
+    assert H.dtype == np.float64
+    x, p = quadratures(QumodeRegister((cutoff,)), 1)
+    x2 = x @ x
+    oracle = ((1.0 / (2.0 * mass)) * (p @ p) + k4 * (x2 @ x2) - k2 * x2 + k1 * x).entries
+    assert np.abs(H - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+
+def _complex_blocks(H):
+    return tuple(
+        Operator(block.entries.astype(complex), block.register) for block in parity_split(H)
+    )
+
+
+@pytest.mark.parametrize("cutoff", [60, 200])
+def test_sweep_matches_complex_eigensolver(monkeypatch, cutoff):
+    grid = [0.0, 0.7, 2.0, 4.0]
+    sweep = excitation_sweep(1.0, grid, cutoff, 12)
+    monkeypatch.setattr(kerrcat, "parity_split", _complex_blocks)
+    oracle = excitation_sweep(1.0, grid, cutoff, 12)
+    scale = np.abs(oracle.excitations).max()
+    assert np.abs(sweep.excitations - oracle.excitations).max() <= 1e-12 * scale
+    assert np.array_equal(sweep.parities, oracle.parities)
+
+
+def test_spectra_paths_raise_no_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        excitation_sweep(1.0, [0.0, 1.5, 3.0], 60, 8)
+        metapotential_dos(KerrCatParams(xi=3.0, K=1.0, cutoff=80), bins=12)
+        eig(doublewell_hamiltonian(DoubleWellParams(k4=1.0, k2=4.0, k1=0.1, cutoff=60)))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -235,3 +236,32 @@ def test_mapping_linearity():
         + b * map_hamiltonian(DenseHamiltonian(H2), 2 * k - 1).entries
     )
     assert np.abs(combo - parts).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# dtype rule
+# ---------------------------------------------------------------------------
+
+
+def test_real_hamiltonian_maps_to_real_operator():
+    H = fmo_hamiltonian()
+    assert H.entries.dtype == np.float64
+    assert map_hamiltonian(H, cutoff=7).entries.dtype == np.float64
+    assert DenseHamiltonian([[1, 0], [0, -1]]).entries.dtype == np.float64
+
+
+def test_complex_hamiltonian_stays_complex():
+    H = DenseHamiltonian(random_hermitian(3, np.random.default_rng(3)))
+    assert H.entries.dtype == np.complex128
+    mapped = map_hamiltonian(H, cutoff=5)
+    assert mapped.entries.dtype == np.complex128
+    assert np.abs(computational_block(mapped, 3) - H.entries).max() < 1e-10
+
+
+def test_sbm_evolve_raises_no_warnings():
+    H = fmo_hamiltonian()
+    psi0 = np.eye(4)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pops = sbm_evolve(H, psi0, np.linspace(0.0, 1.0, 5), cutoff=7)
+    assert np.abs(pops.sum(axis=1) - 1.0).max() < 1e-10
