@@ -8,6 +8,11 @@ dense and works in units with hbar = 1. Operators are dense real or complex
 matrices: real input is stored as float64 and complex input as complex128,
 so a real symmetric Hamiltonian reaches the real eigensolver.
 
+The other modules build on the primitives kept here: the single-mode ladder
+matrix ``a``, which is real (so ``adag = a.T``), the Kronecker lift of
+per-mode factors to a register, the spectral propagator and the Hermiticity
+check.
+
 Truncation convention: the creation operator drops the amplitude that would
 raise the top level ``d - 1`` out of the retained space. This keeps
 ``adag @ a`` exactly equal to the number operator at any cutoff, at the price
@@ -233,21 +238,25 @@ def identity(reg: QumodeRegister) -> Operator:
 
 
 def _single_mode_annihilation(d: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1, d, dtype=float)), k=1).astype(complex)
+    return np.diag(np.sqrt(np.arange(1, d, dtype=float)), k=1)
+
+
+def _lift(reg: QumodeRegister, factors: dict[int, np.ndarray]) -> np.ndarray:
+    """Kronecker product of ``factors[mode]`` over the register; identity elsewhere."""
+    full = np.eye(1)
+    for mode, d in enumerate(reg.cutoffs, start=1):
+        full = np.kron(full, factors.get(mode, np.eye(d)))
+    return full
 
 
 def embed_single_mode(matrix: np.ndarray, reg: QumodeRegister, mode: int) -> Operator:
     """Lift a ``d_mode x d_mode`` matrix to the full register by tensoring
     identities on the remaining modes."""
-    j = reg.check_mode(mode)
-    d = reg.cutoffs[j]
+    d = reg.cutoffs[reg.check_mode(mode)]
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.shape != (d, d):
         raise ValueError(f"matrix shape {matrix.shape} does not match cutoff {d}")
-    left = math.prod(reg.cutoffs[:j])
-    right = math.prod(reg.cutoffs[j + 1 :])
-    full = np.kron(np.kron(np.eye(left), matrix), np.eye(right))
-    return Operator(full, reg)
+    return Operator(_lift(reg, {mode: matrix}), reg)
 
 
 def annihilation(reg: QumodeRegister, mode: int) -> Operator:
@@ -283,6 +292,21 @@ def commutator(A: Operator, B: Operator) -> Operator:
     return A @ B - B @ A
 
 
+def _check_hermitian(m: np.ndarray, tol: float) -> None:
+    """Refuse a Hamiltonian matrix with ``max |H - Hdag| > tol``."""
+    defect = float(np.abs(m - m.conj().T).max())
+    if defect > tol:
+        raise ContractViolation(f"Hamiltonian is not Hermitian: max |H - Hdag| = {defect:.3e}")
+
+
+def _propagate(H: np.ndarray, psi: np.ndarray, times) -> np.ndarray:
+    """``exp(-i H t) psi``, one row per ``t`` in ``times``, from one ``eigh`` of ``H``."""
+    w, V = np.linalg.eigh(H)
+    coeffs = V.conj().T @ psi
+    phases = np.exp(-1j * np.outer(times, w))
+    return (V @ (phases * coeffs).T).T
+
+
 def evolve(H: Operator, t: float, psi: StateVector) -> StateVector:
     """Propagate ``psi`` to ``exp(-i H t) psi`` by spectral decomposition.
 
@@ -291,12 +315,5 @@ def evolve(H: Operator, t: float, psi: StateVector) -> StateVector:
     """
     if psi.register != H.register:
         raise ValueError("state and Hamiltonian live on different registers")
-    defect = H.hermiticity_defect()
-    if defect > HERMITICITY_TOL:
-        raise ContractViolation(
-            f"Hamiltonian is not Hermitian: max |H - Hdag| = {defect:.3e}"
-        )
-    w, V = np.linalg.eigh(H.entries)
-    coeffs = V.conj().T @ psi.amplitudes
-    out = (V * np.exp(-1j * w * t)) @ coeffs
-    return StateVector(out, psi.register)
+    _check_hermitian(H.entries, HERMITICITY_TOL)
+    return StateVector(_propagate(H.entries, psi.amplitudes, t)[0], psi.register)

@@ -34,8 +34,8 @@ from .fock import (
     Operator,
     QumodeRegister,
     StateVector,
+    _lift,
     _single_mode_annihilation,
-    annihilation,
     embed_single_mode,
     identity,
 )
@@ -114,7 +114,7 @@ def _expm_antihermitian(G: np.ndarray) -> np.ndarray:
 
 def _single_mode_unitary(kind: str, param: complex, d: int) -> np.ndarray:
     a = _single_mode_annihilation(d)
-    adag = a.conj().T
+    adag = a.T
     if kind == "displacement":
         G = param * adag - np.conjugate(param) * a
     elif kind == "rotation":
@@ -154,12 +154,11 @@ def beamsplitter_action(
         raise ValueError("beamsplitter modes must be distinct")
     if not (math.isfinite(theta) and math.isfinite(phi)):
         raise ValueError("non-finite beamsplitter parameter")
-    aj = annihilation(reg, mode_j).entries
-    ak = annihilation(reg, mode_k).entries
-    G = theta * (
-        cmath.exp(1j * phi) * aj.conj().T @ ak - cmath.exp(-1j * phi) * aj @ ak.conj().T
-    )
-    return Operator(_expm_antihermitian(G), reg)
+    aj = _single_mode_annihilation(reg.cutoffs[reg.check_mode(mode_j)])
+    ak = _single_mode_annihilation(reg.cutoffs[reg.check_mode(mode_k)])
+    # e^{-i phi} a_j adag_k is the adjoint of e^{i phi} adag_j a_k.
+    hop = _lift(reg, {mode_j: cmath.exp(1j * phi) * aj.T, mode_k: ak})
+    return Operator(_expm_antihermitian(theta * (hop - hop.conj().T)), reg)
 
 
 def compose_circuit(gates: list[GateSpec], reg: QumodeRegister) -> Operator:

@@ -149,6 +149,8 @@ def adjacency_from_edges(edges, n: int | None = None) -> np.ndarray:
             raise ValueError(f"edge ({i}, {j}) outside 1..{n}")
         if i == j:
             raise ValueError(f"self-loop on vertex {i} is not allowed")
+        if not np.isfinite(float(w)):
+            raise ValueError(f"edge ({i}, {j}) has non-finite weight {w}")
         A[i - 1, j - 1] = A[j - 1, i - 1] = float(w)
     return A
 

@@ -79,6 +79,9 @@ class DoubleWellParams:
     cutoff: int = 60
 
     def __post_init__(self) -> None:
+        for name in ("k4", "k2", "k1", "mass"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.k4 < 0 or (self.k4 == 0 and self.k2 > 0):
             raise ValueError(
                 "potential must be bounded below: need k4 > 0, or k4 = 0 with k2 <= 0"
@@ -231,11 +234,16 @@ def density_of_states(
         keep = max(2, int(math.floor(0.8 * len(evals))))
         evals = evals[:keep]
         energy_range = (float(evals[0]), float(evals[-1]))
-    lo, hi = energy_range
-    evals = evals[(evals >= lo) & (evals <= hi)]
-    if len(evals) == 0:
+    return _histogram(evals, bins, energy_range)
+
+
+def _histogram(evals: np.ndarray, bins: int, window: tuple[float, float]) -> Spectrum:
+    """Normalized histogram of the eigenvalues inside ``window``, at bin centers."""
+    lo, hi = window
+    kept = evals[(evals >= lo) & (evals <= hi)]
+    if len(kept) == 0:
         raise ValueError("no eigenvalues inside the requested energy range")
-    counts, edges = np.histogram(evals, bins=bins, range=(lo, hi))
+    counts, edges = np.histogram(kept, bins=bins, range=(lo, hi))
     centers = 0.5 * (edges[:-1] + edges[1:])
     return Spectrum(centers, counts / counts.sum())
 
@@ -259,12 +267,7 @@ def metapotential_dos(p: KerrCatParams, bins: int = 10, span: float = 6.0) -> Sp
         raise ValueError(f"the metapotential window needs K > 0, got {p.K:g}")
     H = kerrcat_hamiltonian(p)
     evals = np.linalg.eigvalsh(H.entries)
-    ex = evals - evals[0]
-    window = (0.0, span * p.K * p.xi**2)
-    kept = ex[(ex >= window[0]) & (ex <= window[1])]
-    counts, edges = np.histogram(kept, bins=bins, range=window)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    return Spectrum(centers, counts / counts.sum())
+    return _histogram(evals - evals[0], bins, (0.0, span * p.K * p.xi**2))
 
 
 def esqpt_energy(p: KerrCatParams, bins: int = 10, span: float = 6.0) -> float:
@@ -284,7 +287,7 @@ def doublewell_hamiltonian(p: DoubleWellParams) -> Operator:
     ``p^2 = -1/2 (adag - a)(adag - a)``, the same truncated products without
     the factor ``i`` that would make them complex.
     """
-    a = _single_mode_annihilation(p.cutoff).real
+    a = _single_mode_annihilation(p.cutoff)
     adag = a.T
     x = math.sqrt(0.5) * (adag + a)
     x2 = x @ x

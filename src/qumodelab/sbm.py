@@ -34,14 +34,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation
 from .fock import (
     Operator,
     QumodeRegister,
+    _check_hermitian,
+    _propagate,
     _real_or_complex_copy,
     _single_mode_annihilation,
-    annihilation,
-    number,
 )
 
 __all__ = [
@@ -86,11 +85,7 @@ class DenseHamiltonian:
         m = _real_or_complex_copy(self.entries)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"Hamiltonian must be square, got shape {m.shape}")
-        defect = np.abs(m - m.conj().T).max()
-        if defect > 1e-10:
-            raise ContractViolation(
-                f"Hamiltonian is not Hermitian: max |H - Hdag| = {defect:.3e}"
-            )
+        _check_hermitian(m, 1e-10)
         if self.units not in ("1/cm", "dimensionless"):
             raise ValueError(f"unknown units label {self.units!r}")
         m.setflags(write=False)
@@ -132,13 +127,14 @@ def _check_mapping_args(k: int, cutoff: int) -> None:
 
 
 def sbm_projector(n: int, m: int, k: int, cutoff: int) -> Operator:
-    """Ladder-operator polynomial acting as ``|n><m|`` on levels 0..k-1."""
+    """Ladder-operator polynomial acting as ``|n><m|`` on levels 0..k-1,
+    a float64 operator."""
     if not (0 <= n <= k - 1 and 0 <= m <= k - 1):
         raise ValueError(f"projector labels ({n}, {m}) outside 0..{k - 1}")
     _check_mapping_args(k, cutoff)
     reg = QumodeRegister((cutoff,))
-    a = annihilation(reg, 1).entries
-    adag = a.conj().T
+    a = _single_mode_annihilation(cutoff)
+    adag = a.T
     gamma = ((k - 1) * np.eye(cutoff) - adag @ a) @ a
     poly = (
         np.linalg.matrix_power(adag, n)
@@ -158,7 +154,7 @@ def map_hamiltonian(H: DenseHamiltonian, cutoff: int) -> Operator:
     """
     k = H.k
     _check_mapping_args(k, cutoff)
-    a = _single_mode_annihilation(cutoff).real
+    a = _single_mode_annihilation(cutoff)
     adag = a.T
     ladder = [np.eye(cutoff)]  # adag^j for j = 0..k-1
     for _ in range(k - 1):
@@ -213,19 +209,12 @@ def _evolve_block(block: np.ndarray, units: str, psi0: np.ndarray, times) -> np.
     # The restriction reproduces a Hermitian matrix up to round-off;
     # symmetrize before diagonalizing so the propagation is exactly unitary.
     block = 0.5 * (block + block.conj().T)
-    w, V = np.linalg.eigh(block)
-    coeffs = V.conj().T @ psi0
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    phases = np.exp(-1j * np.outer(times, w))
-    states = (V @ (phases * coeffs).T).T
-    return np.abs(states) ** 2
+    return np.abs(_propagate(block, psi0, times)) ** 2
 
 
 def snail_hamiltonian(p: SnailParams) -> Operator:
-    """Anharmonic resonator Hamiltonian ``omega n + g3 (a + adag)^3`` (hbar=1)."""
-    reg = QumodeRegister((p.cutoff,))
-    n = number(reg, 1).entries
-    a = annihilation(reg, 1).entries
-    x_like = a + a.conj().T
-    cubic = np.linalg.matrix_power(x_like, 3)
-    return Operator(p.omega * n + p.g3 * cubic, reg)
+    """Anharmonic resonator Hamiltonian ``omega n + g3 (a + adag)^3`` (hbar=1),
+    a float64 operator."""
+    a = _single_mode_annihilation(p.cutoff)
+    cubic = np.linalg.matrix_power(a + a.T, 3)
+    return Operator(p.omega * (a.T @ a) + p.g3 * cubic, QumodeRegister((p.cutoff,)))

@@ -1,10 +1,14 @@
 import json
 import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from qumodelab import cli
+
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -347,6 +351,10 @@ def test_threads_key_rejected(in_tmp, tmp_path, capsys):
         ({"edges": [[1, 2]], "n": 3000}, "params.n", "1..20"),
         ({"edges": [[1, 3001]]}, "params.edges", "got 3001"),
         ({"edges_file": "big.txt"}, "params.edges_file", "got 3001"),
+        ({"edges_file": str(DATA / "edges-nan-weight.txt")}, "params.edges_file",
+         "edge (1, 2) has non-finite weight nan"),
+        ({"edges_file": str(DATA / "edges-inf-weight.txt")}, "params.edges_file",
+         "edge (2, 3) has non-finite weight inf"),
     ],
     ids=[
         "self-loop",
@@ -357,6 +365,8 @@ def test_threads_key_rejected(in_tmp, tmp_path, capsys):
         "n-3000",
         "label-3001",
         "file-label-3001",
+        "nan-weight-file",
+        "inf-weight-file",
     ],
 )
 def test_bad_graph_is_field_error(in_tmp, tmp_path, capsys, params, field, detail):
@@ -368,6 +378,13 @@ def test_bad_graph_is_field_error(in_tmp, tmp_path, capsys, params, field, detai
     assert err.startswith(f"error: {field}: ")
     assert detail in err
     assert not (in_tmp / "h.json").exists()
+
+
+@pytest.mark.parametrize("name", ["edges-nan-weight.txt", "edges-inf-weight.txt"])
+def test_non_finite_edge_weight_fails_validation(tmp_path, capsys, name):
+    cfg = {"experiment": "hafnian", "params": {"edges_file": str(DATA / name)}, "output": "h.json"}
+    assert cli.main(["validate", write_config(tmp_path, cfg)]) == 1
+    assert capsys.readouterr().out.startswith("error: params.edges_file: edge (")
 
 
 def test_oversized_graph_refused_before_allocation(tmp_path):

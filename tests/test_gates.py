@@ -4,6 +4,7 @@ import pytest
 from qumodelab import (
     QumodeRegister,
     StateVector,
+    annihilation,
     apply_circuit,
     basis_state,
     beamsplitter,
@@ -219,3 +220,22 @@ def test_top_level_population_counts_top_two_levels():
     assert np.allclose(top_level_population(psi), [1.0])
     psi = basis_state(reg, (2,))
     assert np.allclose(top_level_population(psi), [0.0])
+
+
+@pytest.mark.parametrize(
+    "cutoffs, modes", [((12, 12), (1, 2)), ((6, 7, 5), (1, 2)), ((6, 7, 5), (3, 1))]
+)
+def test_beamsplitter_matches_full_register_generator(cutoffs, modes):
+    """The lifted generator gives the exponential of
+    theta (e^{i phi} adag_j a_k - e^{-i phi} a_j adag_k) built from
+    full-register ladder operators."""
+    reg = QumodeRegister(cutoffs)
+    theta, phi = 0.8, 0.3
+    aj = annihilation(reg, modes[0]).entries
+    ak = annihilation(reg, modes[1]).entries
+    G = theta * (np.exp(1j * phi) * aj.conj().T @ ak - np.exp(-1j * phi) * aj @ ak.conj().T)
+    w, V = np.linalg.eigh(1j * G)
+    oracle = (V * np.exp(-1j * w)) @ V.conj().T
+    U = beamsplitter_action(theta, phi, reg, modes).entries
+    assert U.dtype == np.complex128
+    assert np.abs(U - oracle).max() < 1e-13

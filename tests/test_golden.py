@@ -1,11 +1,16 @@
-"""Seed-0 benchmark pools against their stored golden outputs.
+"""Seed-0 benchmark pools of all four workloads against their stored golden
+outputs.
 
-The `spectra` pool runs the bundled Kerr-cat, FMO, Pauli-Z and double-well
-demos and seeded `kerrcat-sweep`, `doublewell` and `sbm-evolve` configs; the
-`combinatorics` pool runs the bundled hafnian and QPE demos and seeded
-`hafnian` and `qpe` configs. Each job goes through the CLI, and its output
-must match the fingerprints in `perfbench/golden/` to the benchmark's golden
-tolerance and pass its oracle.
+The `vibronic` pool runs the bundled `h2o-illustrative` demo and seeded
+`vibronic` configs (beamsplitter, Doktorov operator, FCF table); the
+`circuits` pool runs seeded `apply_circuit` jobs on 3-mode registers through
+the library; the `spectra` pool runs the bundled Kerr-cat, FMO, Pauli-Z and
+double-well demos and seeded `kerrcat-sweep`, `doublewell` and `sbm-evolve`
+configs; the `combinatorics` pool runs the bundled hafnian and QPE demos and
+seeded `hafnian` and `qpe` configs. Each job's output must match the
+fingerprints in `perfbench/golden/` to the benchmark's golden tolerance and
+pass its oracle. The `vibronic` and `circuits` pools take about 5 s each on
+2 CPUs.
 """
 
 import importlib.util
@@ -25,7 +30,7 @@ def load_jobs():
     return module
 
 
-@pytest.mark.parametrize("workload", ["spectra", "combinatorics"])
+@pytest.mark.parametrize("workload", ["vibronic", "circuits", "spectra", "combinatorics"])
 def test_pool_matches_golden(workload, tmp_path):
     J = load_jobs()
     golden = J.load_golden(workload, 0)

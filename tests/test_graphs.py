@@ -272,6 +272,12 @@ def test_adjacency_validation():
         adjacency_from_edges([], n=None)
 
 
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf")])
+def test_adjacency_refuses_non_finite_weight(weight):
+    with pytest.raises(ValueError, match=r"edge \(2, 3\) has non-finite weight"):
+        adjacency_from_edges([[1, 2], [2, 3, weight]])
+
+
 def test_read_edge_list(tmp_path):
     path = tmp_path / "k4.edges"
     path.write_text("# complete graph on 4 vertices\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n")

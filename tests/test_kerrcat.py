@@ -192,6 +192,12 @@ def test_dos_bin_count_validation():
         density_of_states(H, bins=5)
 
 
+def test_dos_refuses_an_empty_energy_range():
+    H = kerrcat_hamiltonian(KerrCatParams(xi=2.0, K=1.0, cutoff=60))
+    with pytest.raises(ValueError, match="no eigenvalues inside"):
+        density_of_states(H, bins=10, energy_range=(-100.0, -50.0))
+
+
 def test_dos_zero_drive_supported_on_number_values():
     H = kerrcat_hamiltonian(KerrCatParams(xi=0.0, K=1.0, cutoff=40))
     dos = density_of_states(H, bins=30)
@@ -275,6 +281,15 @@ def test_unbounded_potential_rejected():
         DoubleWellParams(k4=0.0, k2=1.0, k1=0.0, cutoff=20)
     with pytest.raises(ValueError):
         DoubleWellParams(k4=-1.0, k2=0.0, k1=0.0, cutoff=20)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("field", ["k4", "k2", "k1", "mass"])
+def test_doublewell_params_refuse_non_finite(field, value):
+    kwargs = {"k4": 1.0, "k2": 1.0, "k1": 0.0, "mass": 1.0, "cutoff": 20}
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        DoubleWellParams(**kwargs)
 
 
 # ---------------------------------------------------------------------------

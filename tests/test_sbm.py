@@ -7,11 +7,14 @@ import pytest
 from qumodelab import (
     ContractViolation,
     DenseHamiltonian,
+    Operator,
     QumodeRegister,
     SnailParams,
     WAVENUMBER_TO_RAD_PER_PS,
     annihilation,
+    basis_state,
     computational_block,
+    evolve,
     fmo_hamiltonian,
     map_hamiltonian,
     number,
@@ -265,3 +268,41 @@ def test_sbm_evolve_raises_no_warnings():
         warnings.simplefilter("error")
         pops = sbm_evolve(H, psi0, np.linspace(0.0, 1.0, 5), cutoff=7)
     assert np.abs(pops.sum(axis=1) - 1.0).max() < 1e-10
+
+
+def test_projector_and_snail_are_real_and_match_the_complex_build():
+    k, cutoff = 4, 9
+    a = annihilation(QumodeRegister((cutoff,)), 1).entries
+    adag = a.conj().T
+    gamma = ((k - 1) * np.eye(cutoff) - adag @ a) @ a
+    mp = np.linalg.matrix_power
+    for n, m in [(0, 0), (1, 3), (3, 2)]:
+        scale = math.sqrt(math.factorial(m) / math.factorial(n)) / math.factorial(k - 1) ** 2
+        oracle = scale * (mp(adag, n) @ mp(gamma, k - 1) @ mp(adag, k - 1 - m))
+        P = sbm_projector(n, m, k, cutoff).entries
+        assert P.dtype == np.float64
+        assert np.abs(P - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+    p = SnailParams(omega=1.3, g3=0.05, cutoff=20)
+    reg = QumodeRegister((p.cutoff,))
+    a = annihilation(reg, 1).entries
+    oracle = p.omega * number(reg, 1).entries + p.g3 * mp(a + a.conj().T, 3)
+    H = snail_hamiltonian(p).entries
+    assert H.dtype == np.float64
+    assert np.abs(H - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+
+def test_hermiticity_tolerances_stay_distinct():
+    """DenseHamiltonian refuses a defect of 5e-10; evolve accepts it and
+    refuses 2e-9 (tolerances 1e-10 and 1e-9)."""
+
+    def skewed(defect):
+        return np.array([[0.0, 1.0 + defect], [1.0, 0.0]])
+
+    with pytest.raises(ContractViolation, match="not Hermitian"):
+        DenseHamiltonian(skewed(5e-10))
+    reg = QumodeRegister((2,))
+    psi = basis_state(reg, (0,))
+    assert abs(evolve(Operator(skewed(5e-10), reg), 0.3, psi).norm - 1.0) < 1e-9
+    with pytest.raises(ContractViolation, match="not Hermitian"):
+        evolve(Operator(skewed(2e-9), reg), 0.3, psi)
