@@ -301,6 +301,9 @@ def _check_hermitian(m: np.ndarray, tol: float) -> None:
 
 def _propagate(H: np.ndarray, psi: np.ndarray, times) -> np.ndarray:
     """``exp(-i H t) psi``, one row per ``t`` in ``times``, from one ``eigh`` of ``H``."""
+    times = np.asarray(times, dtype=float)
+    if not np.isfinite(times).all():
+        raise ValueError(f"time must be finite, got {times[~np.isfinite(times)][0]}")
     w, V = np.linalg.eigh(H)
     coeffs = V.conj().T @ psi
     phases = np.exp(-1j * np.outer(times, w))
@@ -311,7 +314,8 @@ def evolve(H: Operator, t: float, psi: StateVector) -> StateVector:
     """Propagate ``psi`` to ``exp(-i H t) psi`` by spectral decomposition.
 
     ``H`` must be Hermitian within :data:`HERMITICITY_TOL`; the propagation
-    is then exactly norm preserving up to eigensolver round-off.
+    is then exactly norm preserving up to eigensolver round-off. A
+    non-finite ``t`` raises ``ValueError``.
     """
     if psi.register != H.register:
         raise ValueError("state and Hamiltonian live on different registers")

@@ -6,8 +6,11 @@ matrix it counts the perfect matchings of the graph, which is what a Gaussian
 boson sampler estimates photonically. For n = 2m it is computed by the
 power-trace formula ``haf(A) = sum_S (-1)^(m-|S|) [x^m] exp(sum_j tr((XA)_S^j)
 x^j / 2j)`` over the pair subsets ``S`` of ``{1..m}`` (Björklund, Gupt & Quesada,
-arXiv:1805.12498), all subsets at once in numpy. ``X`` swaps the two halves of
-the index set. The matching count by exhaustive enumeration is the oracle.
+arXiv:1805.12498). ``X`` swaps the two halves of the index set. Each subset is
+evaluated on its own ``2|S|×2|S|`` block, the rows and columns of ``S`` and
+``S + m``, since the others would only add zeros; the subsets are batched in
+numpy in order of size. The matching count by exhaustive enumeration is the
+oracle.
 """
 
 from __future__ import annotations
@@ -40,31 +43,68 @@ def _as_symmetric(A) -> np.ndarray:
     return A
 
 
+def _subsets_by_size(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pair subsets of ``{0..m-1}`` in order of size: each one's size, and
+    its block indices ``p0, p0 + m, p1, p1 + m, ...`` over its pairs ``p0 <
+    p1 < ...``. A prefix of a row is the subset padded to a larger size."""
+    bits = (np.arange(1 << m, dtype=np.int32)[:, None] >> np.arange(m, dtype=np.int32)) & 1
+    size = bits.sum(axis=1)
+    order = np.argsort(size, kind="stable")
+    pairs = np.argsort(1 - bits[order], axis=1, kind="stable").astype(np.int32)
+    block = np.repeat(pairs, 2, axis=1)
+    block[:, 1::2] += m
+    return size[order], block
+
+
 def _hafnians(As: np.ndarray) -> np.ndarray:
     """Hafnians of a stack of symmetric n×n matrices, n even, by the power-trace
-    formula, walking the (matrix, subset) pairs in chunks of bounded size."""
+    formula. Each (matrix, subset) pair is evaluated on its own 2|S|×2|S| block
+    ``(XA)[S ∪ (S+m), S ∪ (S+m)]``. The subsets are walked in order of size, in
+    chunks of bounded size that pad their smaller subsets to their largest; the
+    chunks do not depend on the stack, so neither does any matrix's result."""
     count, n, _ = As.shape
     m = n // 2
-    swap = np.r_[m:n, 0:m]  # X exchanges the two halves of the index set
+    size, block = _subsets_by_size(m)
+    flat = As.reshape(-1)
     out = np.zeros(count)
-    pairs, step = count << m, _CHUNK_FLOATS // max(n * n, 1)
-    for start in range(0, pairs, step):
-        mat, subset = np.divmod(np.arange(start, min(start + step, pairs)), 1 << m)
-        half = (subset[:, None] >> np.arange(m)) & 1  # S as 0/1 flags
-        keep = np.tile(half, 2)  # the indices S and S + m
-        XA = As[mat[:, None], swap] * keep[:, :, None] * keep[:, None, :]
-        traces, power = np.empty((len(mat), m + 1)), XA
-        for j in range(1, m + 1):
-            traces[:, j] = np.trace(power, axis1=1, axis2=2)
-            if j < m:
-                power = power @ XA
-        # [x^m] exp(sum_j traces_j x^j / 2j), by k p_k = sum_j (traces_j / 2) p_(k-j)
-        p = np.ones((len(mat), m + 1))
-        for k in range(1, m + 1):
-            p[:, k] = (traces[:, 1 : k + 1] * p[:, k - 1 :: -1]).sum(axis=1) / (2 * k)
-        sign = 1 - 2 * ((m - half.sum(axis=1)) & 1)  # (-1)^(m - |S|)
-        out[mat[0] : mat[-1] + 1] += np.bincount(mat - mat[0], weights=sign * p[:, m])
+    start = 0
+    while start < len(size):
+        # As many subsets as the budget holds, padded to the last one taken.
+        padded = np.arange(1, len(size) - start + 1) * np.maximum(4 * size[start:] ** 2, 1)
+        stop = start + max(1, int(np.searchsorted(padded, _CHUNK_FLOATS, side="right")))
+        k = size[start:stop]
+        cols = block[start:stop, : 2 * k[-1]]
+        rows = (cols + m) % n  # X exchanges the two halves of the index set
+        entry = (rows * n)[:, :, None] + cols[:, None, :]
+        # Zeroed padding rows keep every power block-triangular, with the
+        # powers of the true block on its diagonal.
+        keep = (np.arange(cols.shape[1]) < 2 * k[:, None])[:, :, None]
+        sign = 1 - 2 * ((m - k) & 1)  # (-1)^(m - |S|)
+        group = max(1, _CHUNK_FLOATS // max(entry.size, 1))  # matrices per chunk
+        for low in range(0, count, group):
+            mats = np.arange(low, min(low + group, count))
+            XA = flat.take((mats * n * n)[:, None, None, None] + entry)
+            XA *= keep
+            terms = _power_trace_terms(XA.reshape(len(mats) * len(k), *entry.shape[1:]), m)
+            out[mats] += (sign * terms.reshape(len(mats), -1)).sum(axis=1)
+            del XA  # before the next chunk's is taken
+        start = stop
     return out
+
+
+def _power_trace_terms(XA: np.ndarray, m: int) -> np.ndarray:
+    """``[x^m] exp(sum_j tr(XA^j) x^j / 2j)`` for each matrix of the stack ``XA``."""
+    traces, power = np.empty((m + 1, len(XA))), XA
+    for j in range(1, m + 1):
+        traces[j] = power.diagonal(axis1=1, axis2=2).sum(axis=1)
+        if j < m:
+            power = power @ XA
+    # j p_j = sum_i (traces_i / 2) p_(j-i). einsum adds the i terms in the same
+    # order for any stack width; .sum(axis=0) does not for a one-matrix stack.
+    p = np.ones((m + 1, len(XA)))
+    for j in range(1, m + 1):
+        p[j] = np.einsum("il,il->l", traces[1 : j + 1], p[j - 1 :: -1]) / (2 * j)
+    return p[m]
 
 
 def hafnian(A) -> float:

@@ -123,18 +123,35 @@ class SpectrumSweep:
         return self.excitations.shape[1]
 
 
-def kerrcat_hamiltonian(p: KerrCatParams) -> Operator:
-    """K [ n (n - 1) - xi (adag^2 + a^2) ] on a single truncated mode.
-
-    Filled from its Fock-basis bands: ``K n (n - 1)`` on the diagonal and
-    ``-K xi <m|a^2|m+2> = -K xi sqrt(m+1) sqrt(m+2)`` on the two diagonals
-    two places off it.
-    """
+def _bands(p: KerrCatParams) -> tuple[np.ndarray, np.ndarray]:
+    """The Fock-basis bands of the Kerr-cat Hamiltonian: ``K n (n - 1)`` on the
+    diagonal, and ``-K xi <m|a^2|m+2> = -K xi sqrt(m+1) sqrt(m+2)`` at (m, m + 2)."""
     n = np.arange(p.cutoff, dtype=float)
-    H = np.diag(p.K * (n * (n - 1.0)))
     m = np.arange(p.cutoff - 2)
-    H[m, m + 2] = H[m + 2, m] = p.K * -(p.xi * (np.sqrt(m + 1.0) * np.sqrt(m + 2.0)))
+    return p.K * (n * (n - 1.0)), p.K * -(p.xi * (np.sqrt(m + 1.0) * np.sqrt(m + 2.0)))
+
+
+def _symmetric_band_matrix(diagonal: np.ndarray, band: np.ndarray, offset: int) -> np.ndarray:
+    """Symmetric matrix with ``diagonal`` and ``band`` at ``offset`` places off it."""
+    H = np.diag(diagonal)
+    i = np.arange(len(band))
+    H[i, i + offset] = H[i + offset, i] = band
+    return H
+
+
+def kerrcat_hamiltonian(p: KerrCatParams) -> Operator:
+    """K [ n (n - 1) - xi (adag^2 + a^2) ] on a single truncated mode, filled
+    from its diagonal and the two bands two places off it."""
+    H = _symmetric_band_matrix(*_bands(p), offset=2)
     return Operator(H, QumodeRegister((p.cutoff,)))
+
+
+def _parity_blocks(p: KerrCatParams) -> tuple[np.ndarray, np.ndarray]:
+    """The even and odd Fock-level blocks of :func:`kerrcat_hamiltonian`, the
+    same entries as its :func:`parity_split`, as tridiagonal matrices built
+    from the bands without the full matrix."""
+    diagonal, drive = _bands(p)
+    return tuple(_symmetric_band_matrix(diagonal[s::2], drive[s::2], 1) for s in (0, 1))
 
 
 def parity_split(H: Operator) -> tuple[Operator, Operator]:
@@ -159,10 +176,9 @@ def parity_split(H: Operator) -> tuple[Operator, Operator]:
 
 
 def _labelled_excitations(K: float, xi: float, cutoff: int, n_levels: int):
-    H = kerrcat_hamiltonian(KerrCatParams(xi=xi, K=K, cutoff=cutoff))
-    even, odd = parity_split(H)
-    ev_e = np.linalg.eigvalsh(even.entries)
-    ev_o = np.linalg.eigvalsh(odd.entries)
+    even, odd = _parity_blocks(KerrCatParams(xi=xi, K=K, cutoff=cutoff))
+    ev_e = np.linalg.eigvalsh(even)
+    ev_o = np.linalg.eigvalsh(odd)
     energies = np.concatenate([ev_e, ev_o])
     labels = np.concatenate([np.ones(len(ev_e), int), -np.ones(len(ev_o), int)])
     order = np.argsort(energies, kind="stable")
@@ -265,8 +281,7 @@ def metapotential_dos(p: KerrCatParams, bins: int = 10, span: float = 6.0) -> Sp
         raise ValueError("the metapotential window needs xi > 0")
     if p.K <= 0:
         raise ValueError(f"the metapotential window needs K > 0, got {p.K:g}")
-    H = kerrcat_hamiltonian(p)
-    evals = np.linalg.eigvalsh(H.entries)
+    evals = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in _parity_blocks(p)]))
     return _histogram(evals - evals[0], bins, (0.0, span * p.K * p.xi**2))
 
 

@@ -85,6 +85,8 @@ class DenseHamiltonian:
         m = _real_or_complex_copy(self.entries)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"Hamiltonian must be square, got shape {m.shape}")
+        if m.size == 0:
+            raise ValueError("Hamiltonian must have at least one level, got shape (0, 0)")
         _check_hermitian(m, 1e-10)
         if self.units not in ("1/cm", "dimensionless"):
             raise ValueError(f"unknown units label {self.units!r}")
@@ -190,7 +192,8 @@ def sbm_evolve(
     ``psi0`` (length k, normalized) is placed on the lowest k Fock levels and
     propagated under the mapped Hamiltonian projected back onto those levels.
     Hamiltonians labelled 1/cm are converted to rad/ps, with times in ps.
-    Returns an array of shape ``(len(times), k)`` whose rows sum to one.
+    Returns an array of shape ``(len(times), k)`` whose rows sum to one; a
+    non-finite time raises ``ValueError``.
     """
     k = H.k
     psi0 = np.asarray(psi0, dtype=complex)

@@ -242,6 +242,13 @@ def test_evolve_rejects_non_hermitian():
         evolve(annihilation(reg, 1), 1.0, basis_state(reg, (0,)))
 
 
+@pytest.mark.parametrize("t", [float("inf"), -float("inf"), float("nan")])
+def test_evolve_refuses_non_finite_time(t):
+    reg = QumodeRegister((4,))
+    with pytest.raises(ValueError, match=f"time must be finite, got {t}"):
+        evolve(number(reg, 1), t, basis_state(reg, (1,)))
+
+
 def test_evolve_norm_and_taylor_oracle():
     rng = np.random.default_rng(7)
     for cutoffs in [(8,), (4, 4), (4, 4, 4)]:

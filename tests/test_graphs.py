@@ -12,6 +12,7 @@ from qumodelab import (
     read_edge_list,
     substructure_signature,
 )
+from qumodelab.graphs import _hafnians
 
 
 def complete_graph(n):
@@ -37,13 +38,18 @@ def random_binary_graph(n, rng, p=0.5):
 
 def pairing_sum(A):
     """The hafnian by its definition, a sum over all pairings: the reference."""
-    if len(A) == 0:
-        return 1.0
-    total = 0.0
-    for j in range(1, len(A)):
-        keep = [k for k in range(1, len(A)) if k != j]
-        total += A[0, j] * pairing_sum(A[np.ix_(keep, keep)])
-    return total
+    entries = np.asarray(A).tolist()
+
+    def pairings(rows):
+        if not rows:
+            return 1.0
+        first, rest = rows[0], rows[1:]
+        total = 0.0
+        for i, j in enumerate(rest):
+            total += entries[first][j] * pairings(rest[:i] + rest[i + 1 :])
+        return total
+
+    return pairings(tuple(range(len(entries))))
 
 
 def double_factorial(n):
@@ -90,12 +96,31 @@ def test_weighted_hafnian():
 def test_hafnian_equals_pairing_sum(entries):
     # Round-off scales with the hafnian of |A|, which bounds every term.
     rng = np.random.default_rng(59)
-    for n in range(2, 11, 2):
+    for n in range(2, 13, 2):
         for _ in range(5):
             X = rng.uniform(0.05, 0.95, (n, n)) if entries == "positive" else rng.normal(size=(n, n))
             A = np.triu(X, 1)
             A = A + A.T
             assert abs(hafnian(A) - pairing_sum(A)) <= 1e-13 * pairing_sum(np.abs(A))
+
+
+@pytest.mark.parametrize("n", [14, 18, 20])
+def test_stacked_hafnians_equal_single_calls(n):
+    # Chunks and padding must not depend on the other matrices in the stack.
+    rng = np.random.default_rng(n)
+    for _ in range(4):
+        As = np.triu(rng.uniform(0.05, 0.95, (3, n, n)), 1)
+        As = As + As.transpose(0, 2, 1)
+        single = np.array([_hafnians(A[None])[0] for A in As])
+        assert np.abs(_hafnians(As) - single).max() <= 1e-13 * np.abs(single).min()
+
+
+def test_kernel_small_sizes():
+    assert np.array_equal(_hafnians(np.zeros((3, 0, 0))), np.ones(3))
+    weights = np.array([0.5, -2.0, 3.0])
+    pairs = np.zeros((3, 2, 2))
+    pairs[:, 0, 1] = pairs[:, 1, 0] = weights
+    assert np.array_equal(_hafnians(pairs), weights)
 
 
 def test_asymmetric_rejected():

@@ -8,7 +8,6 @@ from qumodelab import (
     ConvergenceError,
     DoubleWellParams,
     KerrCatParams,
-    Operator,
     QumodeRegister,
     annihilation,
     density_of_states,
@@ -346,9 +345,9 @@ def test_doublewell_matches_quadrature_build(k4, k2, k1, mass, cutoff):
     assert np.abs(H - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
 
-def _complex_blocks(H):
+def _complex_blocks(p):
     return tuple(
-        Operator(block.entries.astype(complex), block.register) for block in parity_split(H)
+        block.entries.astype(complex) for block in parity_split(kerrcat_hamiltonian(p))
     )
 
 
@@ -356,11 +355,32 @@ def _complex_blocks(H):
 def test_sweep_matches_complex_eigensolver(monkeypatch, cutoff):
     grid = [0.0, 0.7, 2.0, 4.0]
     sweep = excitation_sweep(1.0, grid, cutoff, 12)
-    monkeypatch.setattr(kerrcat, "parity_split", _complex_blocks)
+    monkeypatch.setattr(kerrcat, "_parity_blocks", _complex_blocks)
     oracle = excitation_sweep(1.0, grid, cutoff, 12)
     scale = np.abs(oracle.excitations).max()
     assert np.abs(sweep.excitations - oracle.excitations).max() <= 1e-12 * scale
     assert np.array_equal(sweep.parities, oracle.parities)
+
+
+@pytest.mark.parametrize("cutoff", [4, 5, 60, 200, 201, 210])
+def test_parity_blocks_equal_parity_split(cutoff):
+    # The sweep's blocks, built from the bands, against the full matrix's split.
+    for K in (1.0, -0.7, 1.3):
+        for xi in (0.0, 0.7, 5.5):
+            p = KerrCatParams(xi=xi, K=K, cutoff=cutoff)
+            blocks = kerrcat._parity_blocks(p)
+            for block, oracle in zip(blocks, parity_split(kerrcat_hamiltonian(p))):
+                assert block.dtype == oracle.entries.dtype == np.float64
+                assert block.shape == oracle.entries.shape
+                assert block.tobytes() == oracle.entries.tobytes()
+
+
+@pytest.mark.parametrize("xi", [1.0, 2.5, 4.0])
+def test_metapotential_dos_equals_full_solve(xi):
+    p = KerrCatParams(xi=xi, K=1.0, cutoff=90)
+    evals = eig(kerrcat_hamiltonian(p))
+    counts, _ = np.histogram(evals - evals[0], bins=12, range=(0.0, 6.0 * xi**2))
+    assert np.array_equal(metapotential_dos(p, bins=12).weights, counts / counts.sum())
 
 
 def test_spectra_paths_raise_no_warnings():

@@ -121,6 +121,11 @@ def test_non_hermitian_input_rejected():
         DenseHamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_empty_hamiltonian_rejected():
+    with pytest.raises(ValueError, match="at least one level"):
+        DenseHamiltonian(np.zeros((0, 0)))
+
+
 def test_mapping_cutoff_too_small():
     H = DenseHamiltonian(np.eye(3))
     with pytest.raises(ValueError):
@@ -165,6 +170,14 @@ def test_unnormalized_initial_state_rejected():
     H = fmo_hamiltonian()
     with pytest.raises(ValueError):
         sbm_evolve(H, np.array([1.0, 1.0, 0.0, 0.0]), [0.0], cutoff=7)
+
+
+@pytest.mark.parametrize(
+    "times, bad", [([float("nan"), 1.0], "nan"), ([0.0, float("inf")], "inf")]
+)
+def test_non_finite_time_rejected(times, bad):
+    with pytest.raises(ValueError, match=f"time must be finite, got {bad}"):
+        sbm_evolve(fmo_hamiltonian(), np.eye(4)[0], times, cutoff=7)
 
 
 # ---------------------------------------------------------------------------
