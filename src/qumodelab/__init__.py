@@ -5,85 +5,18 @@ gates, unitary propagation) plus the application layers built on them:
 vibronic Franck-Condon spectra, single-bosonic-mode embeddings of k-level
 Hamiltonians, Kerr-oscillator ESQPT spectroscopy, chemical double wells,
 graph hafnians, and qudit phase estimation.
+
+The package exports exactly the ``__all__`` of each library module.
 """
 
-from .errors import ContractViolation, ConvergenceError
-from .fock import (
-    HERMITICITY_TOL,
-    Operator,
-    QumodeRegister,
-    StateVector,
-    annihilation,
-    basis_state,
-    commutator,
-    creation,
-    evolve,
-    flat_index,
-    identity,
-    number,
-    quadratures,
-    unflatten,
-)
-from .gates import (
-    GateSpec,
-    apply_circuit,
-    beamsplitter,
-    beamsplitter_action,
-    compose_circuit,
-    displacement,
-    gate_matrix,
-    rotation,
-    squeezing,
-    top_level_population,
-)
-from .graphs import (
-    adjacency_from_edges,
-    hafnian,
-    perfect_matching_count,
-    read_edge_list,
-    substructure_signature,
-)
-from .kerrcat import (
-    DoubleWellParams,
-    KerrCatParams,
-    SpectrumSweep,
-    density_of_states,
-    doublewell_hamiltonian,
-    esqpt_energy,
-    excitation_sweep,
-    kerrcat_hamiltonian,
-    metapotential_dos,
-    pair_gaps,
-    parity_split,
-)
-from .qpe import (
-    QpeSpec,
-    controlled_power,
-    outcome_digits,
-    phase_from_outcome,
-    qpe_circuit,
-    qudit_fourier,
-    run_qpe,
-    sample_readout,
-)
-from .sbm import (
-    WAVENUMBER_TO_RAD_PER_PS,
-    DenseHamiltonian,
-    SnailParams,
-    computational_block,
-    fmo_hamiltonian,
-    map_hamiltonian,
-    sbm_evolve,
-    sbm_projector,
-    snail_hamiltonian,
-)
-from .spectrum import Spectrum
-from .vibronic import (
-    DoktorovSpec,
-    doktorov_operator,
-    fcf_table,
-    franck_condon_factor,
-    stick_spectrum,
-)
+from .errors import *
+from .fock import *
+from .gates import *
+from .graphs import *
+from .kerrcat import *
+from .qpe import *
+from .sbm import *
+from .spectrum import *
+from .vibronic import *
 
 __version__ = "0.1.0"

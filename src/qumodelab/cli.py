@@ -5,7 +5,8 @@ One experiment per JSON config file:
     {"experiment": "...", "params": {...}, "output": "path", "seed": 0}
 
 Subcommands: ``run <config.json>``, ``validate <config.json>``, ``demos``.
-Exit codes: 0 success, 1 validation failure, 2 convergence failure, 3 I/O
+Exit codes: 0 success, 1 validation failure, 2 convergence failure or
+numerical breakdown (overflow, invalid value, failed eigensolve), 3 I/O
 failure. Outputs are CSV (header row, LF endings, 12 significant digits) or
 JSON, byte-stable across reruns for a fixed config and seed.
 
@@ -34,6 +35,7 @@ from .fock import Operator, QumodeRegister, StateVector, basis_state, flat_index
 from .gates import top_level_population
 from .graphs import MAX_HAFNIAN_SIZE, _read_edges, adjacency_from_edges, hafnian
 from .kerrcat import (
+    MIN_DOS_BINS,
     DoubleWellParams,
     KerrCatParams,
     doublewell_hamiltonian,
@@ -50,15 +52,15 @@ from .qpe import (
 from .sbm import (
     DenseHamiltonian,
     _evolve_block,
+    _start_state,
     computational_block,
     fmo_hamiltonian,
     map_hamiltonian,
 )
+from .spectrum import _fmt, _write_csv
 from .vibronic import DoktorovSpec, doktorov_operator, fcf_table, stick_spectrum
 
-__all__ = ["Diagnostic", "validate", "run", "list_demos", "demo_path", "main"]
-
-EXPERIMENTS = ("vibronic", "sbm-evolve", "kerrcat-sweep", "doublewell", "hafnian", "qpe")
+__all__ = ["Diagnostic", "validate", "validate_config", "run", "list_demos", "demo_path", "main"]
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -206,20 +208,21 @@ def _sbm_min_cutoff(v) -> int:
 
 def _initial_state(x, v) -> np.ndarray:
     k = v["hamiltonian"].k
-    if _is_int(x):
-        if not 1 <= x <= k:
-            raise ValueError(f"site index must be in 1..{k}")
-        return np.eye(k, dtype=complex)[x - 1]
-    psi0 = np.array([_pair_to_complex(a) for a in x], dtype=complex)
-    if psi0.shape != (k,) or abs(np.linalg.norm(psi0) - 1.0) > 1e-8:
-        raise ValueError(f"must be {k} amplitudes of norm 1")
-    return psi0
+    if not _is_int(x):
+        return _start_state([_pair_to_complex(a) for a in x], k)
+    if not 1 <= x <= k:
+        raise ValueError(f"site index must be in 1..{k}")
+    return np.eye(k, dtype=complex)[x - 1]
 
 
 def _times(x, v) -> np.ndarray:
-    if isinstance(x, dict):
-        return np.linspace(x["start"], x["stop"], x["num"])
-    return np.asarray(x, dtype=float)
+    if not isinstance(x, dict):
+        return np.asarray(x, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        times = np.linspace(x["start"], x["stop"], x["num"])
+    if not np.isfinite(times).all():
+        raise ValueError("the grid from start to stop overflows to a non-finite time")
+    return times
 
 
 _MODEL = (
@@ -247,7 +250,7 @@ _KERRCAT = {
     "cutoff": _Field(_INT, make=lambda x, v: KerrCatParams(xi=0.0, cutoff=x).cutoff),
     "n_levels": _Field(_INT, lo=1, hi=lambda v: v["cutoff"]),
     "dos_xi": _Field(_POSITIVE, None),
-    "dos_bins": _Field(_INT, 10, lo=10),
+    "dos_bins": _Field(_INT, MIN_DOS_BINS, lo=MIN_DOS_BINS),
     "dos_span": _Field(_POSITIVE, 6.0),
     "dos_output": _Field(_PATH, None),
 }
@@ -293,13 +296,6 @@ _QPE = {
     "t": _Field(_INT, lo=1),
     "phase": _Field(_NUMBER),
     "shots": _Field(_INT, 0, lo=0),
-}
-
-_CONFIG = {
-    "experiment": _Field(("one of " + ", ".join(EXPERIMENTS), lambda x: x in EXPERIMENTS)),
-    "params": _Field(("a JSON object", lambda x: isinstance(x, dict))),
-    "output": _Field(_PATH),
-    "seed": _Field(_INT, 0),
 }
 
 
@@ -359,21 +355,6 @@ def validate_config(cfg) -> tuple[list[Diagnostic], dict]:
 # ---------------------------------------------------------------------------
 
 
-def _write_rows(path: str, header: list[str], rows) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
-
-
-def _fmt(x) -> str:
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.12g}"
-
-
 def _write_json(path: str, obj) -> None:
     with open(path, "w", newline="\n") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
@@ -381,7 +362,7 @@ def _write_json(path: str, obj) -> None:
 
 
 def _round12(x: float) -> float:
-    return float(f"{float(x):.12g}")
+    return float(_fmt(x))
 
 
 def _run_vibronic(cfg: dict) -> str:
@@ -410,7 +391,7 @@ def _run_sbm_evolve(cfg: dict) -> str:
     pops = _evolve_block(block, H.units, p["initial"], times)
     header = ["time"] + [f"pop_{i + 1}" for i in range(H.k)]
     rows = ([t] + list(row) for t, row in zip(times, pops))
-    _write_rows(cfg["output"], header, rows)
+    _write_csv(cfg["output"], header, rows)
     restriction_err = float(np.abs(block - H.entries).max())
     return (
         f"sbm-evolve: wrote {cfg['output']} ({len(times)} times, k={H.k}, "
@@ -427,7 +408,7 @@ def _run_kerrcat(cfg: dict) -> str:
         for level in range(n_levels):
             parity = "even" if sweep.parities[i, level] == 1 else "odd"
             rows.append([xi, level, parity, sweep.excitations[i, level]])
-    _write_rows(cfg["output"], ["xi", "level_index", "parity", "excitation_energy"], rows)
+    _write_csv(cfg["output"], ["xi", "level_index", "parity", "excitation_energy"], rows)
     summary = f"kerrcat-sweep: wrote {cfg['output']} ({len(grid)} grid points, {n_levels} levels)"
     if p["dos_xi"] is not None:
         params = KerrCatParams(xi=p["dos_xi"], K=K, cutoff=max(cutoff, 120))
@@ -446,7 +427,7 @@ def _run_doublewell(cfg: dict) -> str:
         np.linalg.eigvalsh(doublewell_hamiltonian(q).entries)[: p["n_levels"]]
         for q in (params, replace(params, cutoff=check_cutoff))
     )
-    _write_rows(cfg["output"], ["level", "energy"], ([i, e] for i, e in enumerate(evals)))
+    _write_csv(cfg["output"], ["level", "energy"], ([i, e] for i, e in enumerate(evals)))
     gap01 = evals[1] - evals[0] if len(evals) > 1 else float("nan")
     # The convergence figure of excitation_sweep, reported but not enforced.
     drift = np.abs(evals - check).max()
@@ -512,6 +493,13 @@ _EXPERIMENTS = {
     "qpe": (_QPE, _run_qpe),
 }
 
+_CONFIG = {
+    "experiment": _Field(("one of " + ", ".join(_EXPERIMENTS), lambda x: x in _EXPERIMENTS)),
+    "params": _Field(("a JSON object", lambda x: isinstance(x, dict))),
+    "output": _Field(_PATH),
+    "seed": _Field(_INT, 0, lo=0),
+}
+
 
 def run(config_path: str) -> int:
     """Validate and execute one experiment config; returns the exit status."""
@@ -521,7 +509,12 @@ def run(config_path: str) -> int:
             print(str(d), file=sys.stderr)
         if any(d.severity == "error" for d in diags):
             return EXIT_VALIDATION
-        summary = _EXPERIMENTS[values["experiment"]][1](values)
+        try:  # a number that overflows or turns invalid cannot be certified
+            with np.errstate(over="raise", invalid="raise"):
+                summary = _EXPERIMENTS[values["experiment"]][1](values)
+        except (FloatingPointError, OverflowError, np.linalg.LinAlgError) as exc:
+            print(f"error: numerical: {exc}", file=sys.stderr)
+            return EXIT_CONVERGENCE
     except ConvergenceError as exc:
         print(f"error: convergence: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE

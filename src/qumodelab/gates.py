@@ -67,6 +67,8 @@ class GateSpec:
 
     Use the :func:`displacement`, :func:`rotation`, :func:`squeezing` and
     :func:`beamsplitter` constructors rather than building instances by hand.
+    Every parameter must be finite; rotation and beamsplitter parameters must
+    also be real.
     """
 
     kind: str
@@ -87,6 +89,8 @@ class GateSpec:
         for p in self.params:
             if not (math.isfinite(p.real) and math.isfinite(p.imag)):
                 raise ValueError(f"non-finite gate parameter {p!r}")
+            if p.imag != 0.0 and self.kind in ("rotation", "beamsplitter"):
+                raise ValueError(f"{self.kind} parameters must be real, got {p!r}")
 
 
 def displacement(mode: int, alpha: complex) -> GateSpec:
@@ -133,14 +137,9 @@ def gate_matrix(gate: GateSpec, reg: QumodeRegister) -> Operator:
     if gate.kind in _SINGLE_MODE_KINDS:
         (mode,) = gate.modes
         j = reg.check_mode(mode)
-        if gate.kind == "rotation" and gate.params[0].imag != 0.0:
-            raise ValueError("rotation angle must be real")
         U = _single_mode_unitary(gate.kind, gate.params[0], reg.cutoffs[j])
         return embed_single_mode(U, reg, mode)
-
     theta, phi = gate.params
-    if theta.imag != 0.0 or phi.imag != 0.0:
-        raise ValueError("beamsplitter parameters must be real")
     return beamsplitter_action(theta.real, phi.real, reg, gate.modes)
 
 

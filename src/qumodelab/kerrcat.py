@@ -49,6 +49,7 @@ __all__ = [
 
 PARITY_TOL = 1e-9
 SWEEP_CONVERGENCE_TOL = 1e-8
+MIN_DOS_BINS = 10
 
 
 @dataclass(frozen=True)
@@ -243,8 +244,6 @@ def density_of_states(
     ``energy_range`` to histogram a specific window instead (eigenvalues
     outside it are dropped before normalizing).
     """
-    if bins < 10:
-        raise ValueError("at least 10 bins are required")
     evals = np.linalg.eigvalsh(H.entries)
     if energy_range is None:
         keep = max(2, int(math.floor(0.8 * len(evals))))
@@ -255,6 +254,8 @@ def density_of_states(
 
 def _histogram(evals: np.ndarray, bins: int, window: tuple[float, float]) -> Spectrum:
     """Normalized histogram of the eigenvalues inside ``window``, at bin centers."""
+    if bins < MIN_DOS_BINS:
+        raise ValueError(f"at least {MIN_DOS_BINS} bins are required, got {bins}")
     lo, hi = window
     kept = evals[(evals >= lo) & (evals <= hi)]
     if len(kept) == 0:
@@ -264,7 +265,7 @@ def _histogram(evals: np.ndarray, bins: int, window: tuple[float, float]) -> Spe
     return Spectrum(centers, counts / counts.sum())
 
 
-def metapotential_dos(p: KerrCatParams, bins: int = 10, span: float = 6.0) -> Spectrum:
+def metapotential_dos(p: KerrCatParams, bins: int = MIN_DOS_BINS, span: float = 6.0) -> Spectrum:
     """Excitation-energy DOS over the metapotential region.
 
     Histograms E' = E - E0 over the window ``[0, span * K * xi^2]``, i.e. the
@@ -285,7 +286,7 @@ def metapotential_dos(p: KerrCatParams, bins: int = 10, span: float = 6.0) -> Sp
     return _histogram(evals - evals[0], bins, (0.0, span * p.K * p.xi**2))
 
 
-def esqpt_energy(p: KerrCatParams, bins: int = 10, span: float = 6.0) -> float:
+def esqpt_energy(p: KerrCatParams, bins: int = MIN_DOS_BINS, span: float = 6.0) -> float:
     """Estimate of the ESQPT excitation energy: the DOS-peak bin center.
 
     The resolution is one bin width; the underlying critical energy of the

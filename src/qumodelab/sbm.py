@@ -195,14 +195,17 @@ def sbm_evolve(
     Returns an array of shape ``(len(times), k)`` whose rows sum to one; a
     non-finite time raises ``ValueError``.
     """
-    k = H.k
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (k,):
-        raise ValueError(f"initial state must have length {k}")
-    if abs(np.linalg.norm(psi0) - 1.0) > 1e-8:
-        raise ValueError("initial state must be normalized")
-    block = computational_block(map_hamiltonian(H, cutoff), k)
+    psi0 = _start_state(psi0, H.k)
+    block = computational_block(map_hamiltonian(H, cutoff), H.k)
     return _evolve_block(block, H.units, psi0, times)
+
+
+def _start_state(psi0, k: int) -> np.ndarray:
+    """``psi0`` as k complex amplitudes, refused unless its norm is 1 within 1e-8."""
+    psi0 = np.asarray(psi0, dtype=complex)
+    if psi0.shape != (k,) or abs(np.linalg.norm(psi0) - 1.0) > 1e-8:
+        raise ValueError(f"initial state must be {k} amplitudes of norm 1")
+    return psi0
 
 
 def _evolve_block(block: np.ndarray, units: str, psi0: np.ndarray, times) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Stick spectra and histograms as (energy, weight) line lists."""
+"""Stick spectra and histograms as (energy, weight) line lists, and the CSV
+writer that every output table of the library and the runner goes through."""
 
 from __future__ import annotations
 
@@ -49,9 +50,22 @@ class Spectrum:
         return float(self.energies[int(np.argmax(self.weights))])
 
     def write_csv(self, path, header: tuple[str, str] = ("energy", "weight")) -> None:
-        """Write ``header[0],header[1]`` rows with 12 significant digits and
-        LF line endings."""
-        with open(path, "w", newline="\n") as fh:
-            fh.write(f"{header[0]},{header[1]}\n")
-            for e, w in zip(self.energies, self.weights):
-                fh.write(f"{e:.12g},{w:.12g}\n")
+        """Write ``header[0],header[1]`` and one row per line, as :func:`_write_csv`."""
+        _write_csv(path, header, zip(self.energies, self.weights))
+
+
+def _fmt(x) -> str:
+    """A cell: strings as they are, integers in full, numbers to 12 significant digits."""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return f"{float(x):.12g}"
+
+
+def _write_csv(path, header, rows) -> None:
+    """A header row, then ``rows`` of cells formatted by :func:`_fmt`; LF line endings."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(x) for x in row) + "\n")

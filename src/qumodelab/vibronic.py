@@ -20,13 +20,12 @@ the starting surface (the bra, the measured photon-number outcome) and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fock import FockIndex, Operator, QumodeRegister, flat_index
-from .gates import beamsplitter, compose_circuit, displacement, squeezing
+from .gates import GateSpec, beamsplitter, compose_circuit, displacement, squeezing
 from .spectrum import Spectrum
 
 __all__ = [
@@ -50,30 +49,28 @@ class DoktorovSpec:
     phi_bs: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("alpha1", "alpha2", "z1", "z2"):
-            v = complex(getattr(self, name))
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                raise ValueError(f"non-finite parameter {name}={v!r}")
-            object.__setattr__(self, name, v)
-        for name in ("theta_bs", "phi_bs"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite parameter {name}={v!r}")
-            object.__setattr__(self, name, v)
+        for name in ("alpha1", "alpha2", "z1", "z2", "theta_bs", "phi_bs"):
+            kind = float if name.endswith("_bs") else complex
+            object.__setattr__(self, name, kind(getattr(self, name)))
+        _circuit(self)  # the gate constructors refuse a non-finite parameter
 
 
-def doktorov_operator(spec: DoktorovSpec, reg: QumodeRegister) -> Operator:
-    """Compose the Doktorov unitary on a two-mode register."""
-    if reg.nmodes != 2:
-        raise ValueError(f"Doktorov operator needs exactly 2 modes, got {reg.nmodes}")
-    circuit = [
+def _circuit(spec: DoktorovSpec) -> list[GateSpec]:
+    """The five gates of the Doktorov operator, in time order."""
+    return [
         squeezing(1, spec.z1),
         squeezing(2, spec.z2),
         beamsplitter(1, 2, spec.theta_bs, spec.phi_bs),
         displacement(1, spec.alpha1),
         displacement(2, spec.alpha2),
     ]
-    return compose_circuit(circuit, reg)
+
+
+def doktorov_operator(spec: DoktorovSpec, reg: QumodeRegister) -> Operator:
+    """Compose the Doktorov unitary on a two-mode register."""
+    if reg.nmodes != 2:
+        raise ValueError(f"Doktorov operator needs exactly 2 modes, got {reg.nmodes}")
+    return compose_circuit(_circuit(spec), reg)
 
 
 def franck_condon_factor(

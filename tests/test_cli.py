@@ -1,11 +1,12 @@
 import json
+import math
 import re
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from qumodelab import cli
+from qumodelab import cli, fmo_hamiltonian, sbm_evolve
 
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -221,6 +222,7 @@ BAD_PARAMS = [
     ("qpe", {"phase": DROP}, errors("params.phase")),
     ("qpe", {"phase": "x"}, errors("params.phase")),
     ("qpe", {"shots": -1, "seed": 1}, errors("params.shots", "params.seed")),
+    ("sbm-evolve", {"times": {"start": -1e308, "stop": 1e308, "num": 3}}, errors("params.times")),
 ]
 
 BAD_TOP_LEVEL = [
@@ -233,6 +235,7 @@ BAD_TOP_LEVEL = [
     ({"experiment": DROP}, errors("experiment")),
     ({"experiment": "nope"}, errors("experiment")),
     ({"extra": True}, errors("extra")),
+    ({"seed": -1}, errors("seed")),
 ]
 
 
@@ -479,3 +482,85 @@ def test_csv_uses_lf_endings(in_tmp):
     data = open("doublewell_levels.csv", "rb").read()
     assert b"\r" not in data
     assert data.endswith(b"\n")
+
+
+def test_sbm_start_vector_check_is_shared(in_tmp):
+    for psi0 in ([1.0, 0.0], [0.9, 0.0, 0.0, 0.0]):
+        with pytest.raises(ValueError) as exc:
+            sbm_evolve(fmo_hamiltonian(), psi0, [0.0], cutoff=7)
+        params = changed(VALID_PARAMS["sbm-evolve"], {"initial": psi0})
+        cfg = {"experiment": "sbm-evolve", "params": params, "output": "out"}
+        diags = cli.validate(write_config(in_tmp, cfg))
+        assert [(d.field, d.message) for d in diags] == [("params.initial", str(exc.value))]
+
+
+# ---------------------------------------------------------------------------
+# extreme values: refused (exit 1), numerical breakdown (exit 2) or finite output
+# ---------------------------------------------------------------------------
+
+EXTREMES = [0, -1, 1e-300, 1e300, 1e308, -1e308]
+
+SMALL_PARAMS = {
+    "vibronic": {"freqs": [1.0, 1.5], "cutoff": 6},
+    "sbm-evolve": {"hamiltonian": "fmo4", "initial": 1, "times": [0.0, 1.0]},
+    "kerrcat-sweep": {"xi_grid": [0.0, 1.0], "cutoff": 30, "n_levels": 4,
+                      "dos_xi": 1.0, "dos_output": "dos.csv"},
+    "doublewell": {"k4": 1.0, "k2": 2.0, "cutoff": 30, "n_levels": 4},
+    "hafnian": {"edges": [[1, 2], [3, 4], [1, 3], [2, 4]]},
+    "qpe": {"d": 2, "t": 2, "phase": 0.5, "shots": 4},
+}
+
+
+def _set(name):
+    return lambda v: {name: v}
+
+
+# (experiment, field) -> the params change that puts the value v into the field
+# ("seed" is the top-level key). Size fields (cutoff, n, d, t, num) are left out.
+EXTREME_FIELDS = {
+    **{("vibronic", n): _set(n) for n in ("alpha1", "alpha2", "z1", "z2", "theta_bs", "phi_bs")},
+    ("vibronic", "freqs"): lambda v: {"freqs": [v, v]},
+    ("vibronic", "e00"): _set("e00"),
+    ("sbm-evolve", "hamiltonian"): lambda v: {"hamiltonian": [[v, 1.0], [1.0, 0.0]]},
+    ("sbm-evolve", "times"): lambda v: {"times": {"start": -v, "stop": v, "num": 3}},
+    **{("kerrcat-sweep", n): _set(n) for n in ("K", "dos_xi", "dos_span")},
+    ("kerrcat-sweep", "xi_grid"): lambda v: {"xi_grid": [0.0, v]},
+    **{("doublewell", n): _set(n) for n in ("k4", "k2", "k1", "mass")},
+    ("hafnian", "edges"): lambda v: {"edges": [[1, 2, v], [3, 4, v], [1, 3, v], [2, 4, v]]},
+    ("qpe", "phase"): _set("phase"),
+    ("qpe", "seed"): None,
+}
+
+
+def _numbers(path):
+    """Every number in a CSV or JSON output file."""
+    text = Path(path).read_text()
+    if path.endswith(".csv"):
+        cells = [c for line in text.splitlines()[1:] for c in line.split(",")]
+        return [float(c) for c in cells if c not in ("even", "odd")]
+    found = []
+    hook = lambda s: found.append(float(s))  # also sees NaN and Infinity
+    json.loads(text, parse_int=hook, parse_float=hook, parse_constant=hook)
+    return found
+
+
+@pytest.mark.parametrize("value", EXTREMES, ids=repr)
+@pytest.mark.parametrize(
+    "experiment, field", list(EXTREME_FIELDS), ids=[f"{e}-{f}" for e, f in EXTREME_FIELDS]
+)
+def test_extreme_values_are_refused_or_finite(in_tmp, capsys, experiment, field, value):
+    change = EXTREME_FIELDS[experiment, field]
+    output = "out.json" if experiment in ("hafnian", "qpe") else "out.csv"
+    cfg = {"experiment": experiment, "params": dict(SMALL_PARAMS[experiment]), "output": output}
+    if change is None:
+        cfg["seed"] = value
+    else:
+        cfg["params"].update(change(value))
+    path = write_config(in_tmp, cfg)
+    accepted = not any(d.severity == "error" for d in cli.validate(path))
+    rc = cli.run(path)
+    assert rc in ((0, 2) if accepted else (1,)), capsys.readouterr().err
+    if rc == 0:
+        outputs = [output] + (["dos.csv"] if experiment == "kerrcat-sweep" else [])
+        for out in outputs:
+            assert all(math.isfinite(x) for x in _numbers(out)), out

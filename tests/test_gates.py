@@ -74,6 +74,16 @@ def test_gate_validation():
         gate_matrix(displacement(3, 0.1), reg)
 
 
+def test_complex_rotation_and_beamsplitter_parameters_refused_at_construction():
+    with pytest.raises(ValueError, match="rotation parameters must be real"):
+        rotation(1, 0.5j)
+    with pytest.raises(ValueError, match="beamsplitter parameters must be real"):
+        beamsplitter(1, 2, 0.3j, 0.0)
+    with pytest.raises(ValueError, match="beamsplitter parameters must be real"):
+        beamsplitter(1, 2, 0.3, 1 + 0.1j)
+    assert squeezing(1, 0.2j).params == (0.2j,)
+
+
 # ---------------------------------------------------------------------------
 # beamsplitter
 # ---------------------------------------------------------------------------

@@ -191,6 +191,15 @@ def test_dos_bin_count_validation():
         density_of_states(H, bins=5)
 
 
+def test_every_dos_refuses_fewer_than_ten_bins():
+    p = KerrCatParams(xi=2.0)
+    with pytest.raises(ValueError, match="at least 10 bins"):
+        metapotential_dos(p, bins=3)
+    with pytest.raises(ValueError, match="at least 10 bins"):
+        esqpt_energy(p, bins=1)
+    assert len(metapotential_dos(p, bins=kerrcat.MIN_DOS_BINS)) == 10
+
+
 def test_dos_refuses_an_empty_energy_range():
     H = kerrcat_hamiltonian(KerrCatParams(xi=2.0, K=1.0, cutoff=60))
     with pytest.raises(ValueError, match="no eigenvalues inside"):
