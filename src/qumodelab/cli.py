@@ -111,9 +111,10 @@ def _is_times(x) -> bool:
 
 
 # JSON types, as (description, test). A "number" may be non-finite: the
-# library constructor that reads the field refuses it.
+# library constructor that reads the field refuses it. An int too large for a
+# float is not a number, since converting it raises OverflowError.
 _INT = ("an integer", _is_int)
-_REAL = ("a number", lambda x: _is_int(x) or isinstance(x, float))
+_REAL = ("a number", lambda x: isinstance(x, float) or _is_int(x) and abs(x) <= sys.float_info.max)
 _NUMBER = ("a finite number", _is_number)
 _POSITIVE = ("a positive number", lambda x: _is_number(x) and x > 0)
 _PATH = ("a non-empty path", lambda x: isinstance(x, str) and x != "")

@@ -176,7 +176,8 @@ def parity_split(H: Operator) -> tuple[Operator, Operator]:
     )
 
 
-def _labelled_excitations(K: float, xi: float, cutoff: int, n_levels: int):
+def _labelled_levels(K: float, xi: float, cutoff: int, n_levels: int):
+    """The lowest ``n_levels`` energies of both parity blocks, merged, with labels."""
     even, odd = _parity_blocks(KerrCatParams(xi=xi, K=K, cutoff=cutoff))
     ev_e = np.linalg.eigvalsh(even)
     ev_o = np.linalg.eigvalsh(odd)
@@ -187,7 +188,31 @@ def _labelled_excitations(K: float, xi: float, cutoff: int, n_levels: int):
     # Levels equal within round-off (the cat pair at -K xi^2) are labelled even first.
     split = np.diff(energies) > 8 * np.finfo(float).eps * np.abs(energies).max()
     labels = labels[np.lexsort((-labels, np.r_[0, np.cumsum(split)]))]
-    return energies[:n_levels] - energies[0], labels[:n_levels]
+    return energies[:n_levels], labels[:n_levels]
+
+
+def _count_below(d: np.ndarray, e: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Number of eigenvalues below each ``x[g, l]`` of the symmetric tridiagonal
+    matrix with diagonal ``d`` and off-diagonal ``e[g]``.
+
+    This is the Sturm count: the number of negative pivots of the LDL^T
+    factorization of ``T_g - x[g, l]`` (Kahan's bisection, as in LAPACK
+    ``dstebz``), one vectorized pass over the rows.
+    """
+    # Scale each matrix by a power of two (exact) so that its largest entry is
+    # below 1; then e^2 and every pivot stay finite at any input size.
+    largest = np.abs(np.hstack([e, x])).max(axis=1, initial=np.abs(d).max(initial=0.0))
+    shift = -np.frexp(largest)[1][:, None]
+    d, e, x = np.ldexp(d, shift), np.ldexp(e, shift), np.ldexp(x, shift)
+    e2 = e * e
+    # dstebz's pivmin = tiny * max(1, max e^2) is tiny here, since max e^2 <= 1.
+    pivmin = np.finfo(float).tiny
+    count = np.zeros(x.shape, dtype=int)
+    for j in range(d.shape[1]):
+        q = d[:, j, None] - x - (e2[:, j - 1, None] / q if j else 0.0)
+        q[np.abs(q) < pivmin] = -pivmin
+        count += q < 0
+    return count
 
 
 def excitation_sweep(
@@ -195,27 +220,42 @@ def excitation_sweep(
 ) -> SpectrumSweep:
     """Lowest excitation energies with parity labels over a xi grid.
 
-    Each grid point is checked for truncation convergence by recomputing at
+    Each grid point is checked for truncation convergence against
     ``cutoff + 10``; disagreement beyond 1e-8 raises :class:`ConvergenceError`
-    naming the offending xi.
+    naming the offending xi. A Sturm count on the ``cutoff + 10`` parity
+    blocks clears most points without solving them: when it proves that no
+    level moves by more than half the tolerance, no excitation can move by
+    more than the tolerance. Only the other points are solved again at
+    ``cutoff + 10``.
     """
     xi_grid = np.atleast_1d(np.asarray(xi_grid, dtype=float))
     if n_levels < 1:
         raise ValueError("n_levels must be positive")
     if n_levels > cutoff:
         raise ValueError("n_levels cannot exceed the cutoff")
-    all_ex = np.empty((len(xi_grid), n_levels))
+    levels = np.empty((len(xi_grid), n_levels))
     all_par = np.empty((len(xi_grid), n_levels), dtype=int)
     for i, xi in enumerate(xi_grid):
-        ex, par = _labelled_excitations(K, xi, cutoff, n_levels)
-        ex_check, _ = _labelled_excitations(K, xi, cutoff + 10, n_levels)
-        drift = np.abs(ex - ex_check).max()
+        levels[i], all_par[i] = _labelled_levels(K, xi, cutoff, n_levels)
+    all_ex = levels - levels[:, :1]
+    # Each cutoff block is a leading block of its cutoff + 10 block, so by
+    # interlacing the k-th merged level there is at most levels[:, k]. At most
+    # k eigenvalues below levels[:, k] - tol/2 bound it from below as well.
+    diagonal, _ = _bands(KerrCatParams(xi=0.0, K=K, cutoff=cutoff + 10))
+    drive = np.array(
+        [_bands(KerrCatParams(xi=xi, K=K, cutoff=cutoff + 10))[1] for xi in xi_grid]
+    ).reshape(len(xi_grid), cutoff + 8)
+    x = levels - SWEEP_CONVERGENCE_TOL / 2
+    below = sum(_count_below(diagonal[s::2], drive[:, s::2], x) for s in (0, 1))
+    for i in np.flatnonzero((below > np.arange(n_levels)).any(axis=1)):
+        xi = xi_grid[i]
+        check, _ = _labelled_levels(K, xi, cutoff + 10, n_levels)
+        drift = np.abs(all_ex[i] - (check - check[0])).max()
         if drift > SWEEP_CONVERGENCE_TOL:
             raise ConvergenceError(
                 f"lowest {n_levels} levels not converged at xi={xi:g}: "
                 f"cutoff {cutoff} vs {cutoff + 10} differ by {drift:.3e}"
             )
-        all_ex[i], all_par[i] = ex, par
     return SpectrumSweep(xi_grid, all_ex, all_par)
 
 
@@ -282,8 +322,17 @@ def metapotential_dos(p: KerrCatParams, bins: int = MIN_DOS_BINS, span: float = 
         raise ValueError("the metapotential window needs xi > 0")
     if p.K <= 0:
         raise ValueError(f"the metapotential window needs K > 0, got {p.K:g}")
+    try:
+        top = span * p.K * p.xi**2
+    except OverflowError:
+        top = math.inf
+    if math.isinf(top):
+        raise OverflowError(
+            f"the metapotential window [0, span K xi^2] overflows at "
+            f"span={span:g}, K={p.K:g}, xi={p.xi:g}"
+        )
     evals = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in _parity_blocks(p)]))
-    return _histogram(evals - evals[0], bins, (0.0, span * p.K * p.xi**2))
+    return _histogram(evals - evals[0], bins, (0.0, top))
 
 
 def esqpt_energy(p: KerrCatParams, bins: int = MIN_DOS_BINS, span: float = 6.0) -> float:

@@ -137,7 +137,7 @@ def sbm_projector(n: int, m: int, k: int, cutoff: int) -> Operator:
     reg = QumodeRegister((cutoff,))
     a = _single_mode_annihilation(cutoff)
     adag = a.T
-    gamma = ((k - 1) * np.eye(cutoff) - adag @ a) @ a
+    gamma = ((k - 1) - np.arange(cutoff, dtype=float))[:, None] * a
     poly = (
         np.linalg.matrix_power(adag, n)
         @ np.linalg.matrix_power(gamma, k - 1)
@@ -162,7 +162,7 @@ def map_hamiltonian(H: DenseHamiltonian, cutoff: int) -> Operator:
     for _ in range(k - 1):
         ladder.append(adag @ ladder[-1])
     ladder = np.array(ladder)
-    gamma = ((k - 1) * np.eye(cutoff) - adag @ a) @ a
+    gamma = ((k - 1) - np.arange(cutoff, dtype=float))[:, None] * a
     # coeffs[n, m] = H_nm sqrt(m!/n!): the n-th right factor is
     # sum_m coeffs[n, m] adag^(k-1-m).
     fact = [math.factorial(j) for j in range(k)]

@@ -223,6 +223,10 @@ BAD_PARAMS = [
     ("qpe", {"phase": "x"}, errors("params.phase")),
     ("qpe", {"shots": -1, "seed": 1}, errors("params.shots", "params.seed")),
     ("sbm-evolve", {"times": {"start": -1e308, "stop": 1e308, "num": 3}}, errors("params.times")),
+    # an int too large for a float
+    ("qpe", {"phase": 10**400}, errors("params.phase")),
+    ("kerrcat-sweep", {"K": -(10**400)}, errors("params.K")),
+    ("vibronic", {"alpha1": [0.0, 10**400]}, errors("params.alpha1")),
 ]
 
 BAD_TOP_LEVEL = [
@@ -564,3 +568,13 @@ def test_extreme_values_are_refused_or_finite(in_tmp, capsys, experiment, field,
         outputs = [output] + (["dos.csv"] if experiment == "kerrcat-sweep" else [])
         for out in outputs:
             assert all(math.isfinite(x) for x in _numbers(out)), out
+
+
+def test_overflowing_dos_window_is_named(in_tmp, capsys):
+    cfg = json.loads(Path(cli.demo_path("kerrcat-fig4")).read_text())
+    cfg["params"]["dos_xi"] = 1e300
+    assert cli.run(write_config(in_tmp, cfg)) == 2
+    assert capsys.readouterr().err == (
+        "error: numerical: the metapotential window [0, span K xi^2] overflows at "
+        "span=6, K=1, xi=1e+300\n"
+    )

@@ -1,4 +1,6 @@
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from qumodelab import (
     parity_split,
     quadratures,
 )
-from qumodelab import kerrcat
+from qumodelab import cli, kerrcat
 
 
 def eig(H):
@@ -138,6 +140,97 @@ def test_degenerate_cat_pair_is_labelled_even_first():
 def test_sweep_convergence_error_names_xi():
     with pytest.raises(ConvergenceError, match="xi=4"):
         excitation_sweep(1.0, [0.0, 4.0], cutoff=10, n_levels=8)
+
+
+def sweep_oracle(K, grid, cutoff, n_levels):
+    """excitation_sweep with every grid point solved again at cutoff + 10."""
+    ex, par = [], []
+    for xi in grid:
+        levels, labels = kerrcat._labelled_levels(K, xi, cutoff, n_levels)
+        check, _ = kerrcat._labelled_levels(K, xi, cutoff + 10, n_levels)
+        drift = np.abs((levels - levels[0]) - (check - check[0])).max()
+        if drift > kerrcat.SWEEP_CONVERGENCE_TOL:
+            raise ConvergenceError(
+                f"lowest {n_levels} levels not converged at xi={xi:g}: "
+                f"cutoff {cutoff} vs {cutoff + 10} differ by {drift:.3e}"
+            )
+        ex.append(levels - levels[0])
+        par.append(labels)
+    return kerrcat.SpectrumSweep(grid, ex, par)
+
+
+def sweep_outcome(sweep, *args):
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            result = sweep(*args)
+    except ConvergenceError as exc:
+        return str(exc)
+    return result.excitations.tobytes(), result.parities.tobytes()
+
+
+SCAN_XI = np.linspace(0.0, 6.0, 25)
+SCAN_GRIDS = [[xi] for xi in SCAN_XI] + [SCAN_XI]
+
+
+@pytest.mark.parametrize("n_levels", [1, 2, 6, 12])
+@pytest.mark.parametrize("K", [-1.0, 0.0, 0.5, 1.0, 1.5])
+def test_sweep_equals_solving_every_point_again(K, n_levels):
+    # The Sturm count may clear a point only where the exact rule passes it;
+    # every other point gets the exact rule itself.
+    for cutoff in range(max(4, n_levels), 61, 4):
+        for grid in SCAN_GRIDS:
+            args = (K, grid, cutoff, n_levels)
+            assert sweep_outcome(excitation_sweep, *args) == sweep_outcome(sweep_oracle, *args)
+
+
+@pytest.mark.parametrize(
+    "K, grid, cutoff",
+    [(1e3, [1e3], 20), (1e5, [0.5, 5.0], 400), (1.0, [0.0, 1e155], 30),
+     (1.0, [1e300], 20), (1e150, [0.0, 1.0], 30), (1e-300, [1.0, 1e300], 30)],
+)
+def test_sweep_equals_solving_every_point_again_at_extremes(K, grid, cutoff):
+    args = (K, grid, cutoff, 4)
+    assert sweep_outcome(excitation_sweep, *args) == sweep_outcome(sweep_oracle, *args)
+
+
+def test_fig4_sweep_solves_each_parity_block_once(monkeypatch):
+    p = json.loads(Path(cli.demo_path("kerrcat-fig4")).read_text())["params"]
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda H: calls.append(len(H)) or eigvalsh(H))
+    excitation_sweep(p["K"], p["xi_grid"], p["cutoff"], p["n_levels"])
+    assert len(calls) == 2 * len(p["xi_grid"]) == 18
+
+
+def tridiagonal(d, e):
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150, 1e200])
+def test_sturm_count_matches_eigvalsh(scale):
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 5, 17):
+        d = scale * rng.normal(size=n)
+        e = scale * rng.normal(size=(4, n - 1))
+        e[1] = 0.0
+        e[2, ::2] = 0.0
+        evals = [np.linalg.eigvalsh(tridiagonal(d, row)) for row in e]
+        # Between, below and above the eigenvalues the count is exact.
+        x = np.array([np.r_[ev[0] - scale, (ev[:-1] + ev[1:]) / 2, ev[-1] + scale] for ev in evals])
+        with np.errstate(over="raise", invalid="raise"):
+            counts = kerrcat._count_below(d, e, x)
+            # At a diagonal entry of the decoupled matrix a pivot is exactly zero.
+            (ties,) = kerrcat._count_below(d, e[1:2], d[None, :])
+        assert (counts == np.arange(n + 1)).all()
+        assert ((d[:, None] < d).sum(axis=0) <= ties).all()
+        assert (ties <= (d[:, None] <= d).sum(axis=0)).all()
+
+
+def test_sturm_count_survives_a_zero_pivot():
+    # [[0, 1], [1, 0]] has eigenvalues -1 and 1; its first pivot at x = 0 is 0.
+    with np.errstate(over="raise", invalid="raise"):
+        counts = kerrcat._count_below(np.zeros(2), np.ones((1, 1)), np.array([[-2.0, 0.0, 2.0]]))
+    assert counts.tolist() == [[0, 1, 2]]
 
 
 def test_pair_gap_structure():

@@ -22,6 +22,7 @@ from qumodelab import (
     sbm_projector,
     snail_hamiltonian,
 )
+from qumodelab.fock import _propagate
 
 
 def random_hermitian(k, rng):
@@ -238,6 +239,20 @@ def test_restricted_propagation_equivalence():
         pops = sbm_evolve(H, psi0, times, cutoff=2 * k - 1)
         oracle = direct_populations(H, psi0, times)
         assert np.abs(pops - oracle).max() < 1e-8
+
+
+@pytest.mark.parametrize("k", [4, 13, 20, 25, 30])
+def test_map_is_exact_at_large_k(k):
+    # Oracle: H itself, not sbm_projector, which builds the same (k - 1 - n) a.
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(k, k))
+    H = DenseHamiltonian((X + X.T) / 2)
+    block = computational_block(map_hamiltonian(H, 2 * k - 1), k)
+    assert np.abs(block - H.entries).max() <= 1e-14 * np.abs(H.entries).max()
+    psi0 = np.eye(k)[1]
+    times = [0.0, 1.0, 2.0]
+    oracle = np.abs(_propagate(H.entries, psi0, times)) ** 2
+    assert np.abs(sbm_evolve(H, psi0, times, cutoff=2 * k - 1) - oracle).max() < 1e-12
 
 
 def test_mapping_linearity():
