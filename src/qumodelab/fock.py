@@ -23,6 +23,7 @@ of a non-unitary edge that callers should monitor (see
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,6 @@ __all__ = [
     "StateVector",
     "Operator",
     "flat_index",
-    "unflatten",
     "basis_state",
     "identity",
     "embed_single_mode",
@@ -56,6 +56,17 @@ HERMITICITY_TOL = 1e-9
 FockIndex = tuple[int, ...]
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int; a ``ValueError`` naming ``name`` unless it is a
+    Python or numpy integer (a bool or a float is refused)."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class QumodeRegister:
     """Ordered list of per-mode Fock cutoffs. Modes are numbered from 1."""
@@ -63,7 +74,7 @@ class QumodeRegister:
     cutoffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        cutoffs = tuple(int(d) for d in self.cutoffs)
+        cutoffs = tuple(_integer(d, "cutoff") for d in self.cutoffs)
         if len(cutoffs) == 0:
             raise ValueError("register needs at least one mode")
         if any(d < 1 for d in cutoffs):
@@ -90,7 +101,7 @@ class QumodeRegister:
 
 def flat_index(occupations: FockIndex, reg: QumodeRegister) -> int:
     """Flat basis index of ``|n_1, ..., n_N>``; mode 1 is most significant."""
-    occs = tuple(int(n) for n in occupations)
+    occs = tuple(_integer(n, "occupation") for n in occupations)
     if len(occs) != reg.nmodes:
         raise ValueError(
             f"occupation tuple has {len(occs)} entries for {reg.nmodes} modes"
@@ -101,18 +112,6 @@ def flat_index(occupations: FockIndex, reg: QumodeRegister) -> int:
             raise ValueError(f"occupation {n} out of range for cutoff {d}")
         idx = idx * d + n
     return idx
-
-
-def unflatten(index: int, reg: QumodeRegister) -> FockIndex:
-    """Inverse of :func:`flat_index`."""
-    index = int(index)
-    if not 0 <= index < reg.dim:
-        raise ValueError(f"flat index {index} out of range for dim {reg.dim}")
-    occs = []
-    for d in reversed(reg.cutoffs):
-        index, n = divmod(index, d)
-        occs.append(n)
-    return tuple(reversed(occs))
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,8 +9,8 @@ x^j / 2j)`` over the pair subsets ``S`` of ``{1..m}`` (Björklund, Gupt & Quesad
 arXiv:1805.12498). ``X`` swaps the two halves of the index set. Each subset is
 evaluated on its own ``2|S|×2|S|`` block, the rows and columns of ``S`` and
 ``S + m``, since the others would only add zeros; the subsets are batched in
-numpy in order of size. The matching count by exhaustive enumeration is the
-oracle.
+numpy in order of size. Its oracle on 0/1 graphs, the matching count by
+exhaustive enumeration, is ``perfect_matching_count`` in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -19,13 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
-__all__ = [
-    "hafnian",
-    "perfect_matching_count",
-    "substructure_signature",
-    "adjacency_from_edges",
-    "read_edge_list",
-]
+__all__ = ["hafnian", "substructure_signature", "adjacency_from_edges"]
 
 MAX_HAFNIAN_SIZE = 20
 MAX_MATCHING_SIZE = 16
@@ -38,6 +32,8 @@ def _as_symmetric(A) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"adjacency matrix must be square, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise ValueError("adjacency matrix has a non-finite entry")
     if A.size and np.abs(A - A.T).max() != 0.0:
         raise ValueError("matrix must be exactly symmetric")
     return A
@@ -119,37 +115,6 @@ def hafnian(A) -> float:
     return float(_hafnians(A[None])[0])
 
 
-def _pairings(items: tuple[int, ...]):
-    """All partitions of ``items`` into unordered pairs."""
-    if not items:
-        yield ()
-        return
-    first, rest = items[0], items[1:]
-    for idx, partner in enumerate(rest):
-        remaining = rest[:idx] + rest[idx + 1 :]
-        for tail in _pairings(remaining):
-            yield ((first, partner),) + tail
-
-
-def perfect_matching_count(A) -> int:
-    """Number of perfect matchings of a 0/1 graph, by brute enumeration."""
-    A = _as_symmetric(A)
-    n = A.shape[0]
-    if not np.isin(A, (0.0, 1.0)).all():
-        raise ValueError("perfect matching count needs 0/1 entries")
-    if n > MAX_MATCHING_SIZE:
-        raise ValueError(
-            f"matching enumeration limited to {MAX_MATCHING_SIZE} vertices, got {n}"
-        )
-    if n % 2 == 1:
-        return 0
-    count = 0
-    for pairing in _pairings(tuple(range(n))):
-        if all(A[i, j] == 1.0 for i, j in pairing):
-            count += 1
-    return count
-
-
 def substructure_signature(A) -> np.ndarray:
     """Sorted hafnians of every principal submatrix of even size up to 8.
 
@@ -212,10 +177,3 @@ def _read_edges(path) -> list[tuple]:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     return edges
 
-
-def read_edge_list(path, n: int | None = None) -> np.ndarray:
-    """Parse an edge-list file: one ``i j [weight]`` per line, 1-indexed.
-
-    Blank lines and lines starting with ``#`` are skipped.
-    """
-    return adjacency_from_edges(_read_edges(path), n=n)

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, ConvergenceError
-from .fock import Operator, QumodeRegister, _single_mode_annihilation
+from .errors import ConvergenceError
+from .fock import Operator, QumodeRegister, _integer, _single_mode_annihilation
 from .spectrum import Spectrum
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "DoubleWellParams",
     "SpectrumSweep",
     "kerrcat_hamiltonian",
-    "parity_split",
     "excitation_sweep",
     "pair_gaps",
     "density_of_states",
@@ -47,7 +46,6 @@ __all__ = [
     "doublewell_hamiltonian",
 ]
 
-PARITY_TOL = 1e-9
 SWEEP_CONVERGENCE_TOL = 1e-8
 MIN_DOS_BINS = 10
 
@@ -65,7 +63,7 @@ class KerrCatParams:
             raise ValueError(f"xi must be finite and non-negative, got {self.xi}")
         if not math.isfinite(self.K):
             raise ValueError("K must be finite")
-        if self.cutoff < 4:
+        if _integer(self.cutoff, "cutoff") < 4:
             raise ValueError("cutoff must be at least 4")
 
 
@@ -89,7 +87,7 @@ class DoubleWellParams:
             )
         if self.mass <= 0:
             raise ValueError("mass must be positive")
-        if self.cutoff < 2:
+        if _integer(self.cutoff, "cutoff") < 2:
             raise ValueError("cutoff must be at least 2")
 
 
@@ -148,32 +146,11 @@ def kerrcat_hamiltonian(p: KerrCatParams) -> Operator:
 
 
 def _parity_blocks(p: KerrCatParams) -> tuple[np.ndarray, np.ndarray]:
-    """The even and odd Fock-level blocks of :func:`kerrcat_hamiltonian`, the
-    same entries as its :func:`parity_split`, as tridiagonal matrices built
-    from the bands without the full matrix."""
+    """The even and odd Fock-level blocks of :func:`kerrcat_hamiltonian`, as
+    tridiagonal matrices built from the bands without the full matrix. Their
+    oracle is ``parity_split`` in ``tests/oracles.py``."""
     diagonal, drive = _bands(p)
     return tuple(_symmetric_band_matrix(diagonal[s::2], drive[s::2], 1) for s in (0, 1))
-
-
-def parity_split(H: Operator) -> tuple[Operator, Operator]:
-    """Blocks of a parity-conserving Hamiltonian on even/odd Fock levels."""
-    reg = H.register
-    occ_sum = np.indices(reg.cutoffs).sum(axis=0).ravel()
-    even = np.flatnonzero(occ_sum % 2 == 0)
-    odd = np.flatnonzero(occ_sum % 2 == 1)
-    # (HP - PH)[i, j] = (p_j - p_i) H[i, j]: twice the largest opposite-parity entry.
-    cross = (H.entries[np.ix_(even, odd)], H.entries[np.ix_(odd, even)])
-    defect = 2.0 * max(np.abs(block).max(initial=0.0) for block in cross)
-    if defect > PARITY_TOL:
-        raise ContractViolation(
-            f"Hamiltonian does not commute with parity: defect {defect:.3e}"
-        )
-    even_block = H.entries[np.ix_(even, even)]
-    odd_block = H.entries[np.ix_(odd, odd)]
-    return (
-        Operator(even_block, QumodeRegister((len(even),))),
-        Operator(odd_block, QumodeRegister((len(odd),))),
-    )
 
 
 def _labelled_levels(K: float, xi: float, cutoff: int, n_levels: int):
@@ -315,13 +292,15 @@ def metapotential_dos(p: KerrCatParams, bins: int = MIN_DOS_BINS, span: float = 
     stacks the lowest bin regardless of binning; the windowed histogram peaks
     at the barrier energy instead.
 
-    The window needs xi > 0 and K > 0: it is empty at K = 0, and for K < 0
-    the spectrum is inverted, so its lowest levels sit at the truncation edge.
+    The window needs a finite span > 0, xi > 0 and K > 0: it is empty at K = 0,
+    and for K < 0 the spectrum is inverted, its lowest levels at the truncation edge.
     """
     if p.xi <= 0:
         raise ValueError("the metapotential window needs xi > 0")
     if p.K <= 0:
         raise ValueError(f"the metapotential window needs K > 0, got {p.K:g}")
+    if not 0 < span < math.inf:
+        raise ValueError(f"span must be finite and > 0, got {span!r}")
     try:
         top = span * p.K * p.xi**2
     except OverflowError:

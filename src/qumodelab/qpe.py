@@ -12,8 +12,8 @@ approximations.
 
 The controlled powers multiply to ``sum_x |x><x| (x) U^x`` over the register
 readout ``x``, so :func:`run_qpe` computes the readout as one statevector pass
-over the ``d^t`` vectors ``U^x |eigenstate>`` and an FFT; :func:`qpe_circuit`,
-the full circuit unitary, is its small-size oracle.
+over the ``d^t`` vectors ``U^x |eigenstate>`` and an FFT. Its oracle, the full
+circuit unitary at small sizes, is ``qpe_circuit`` in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -21,19 +21,15 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from .errors import ContractViolation
-from .fock import Operator, QumodeRegister, StateVector
+from .fock import Operator, StateVector, _integer
 
 __all__ = [
     "UNITARITY_TOL",
     "QpeSpec",
-    "qudit_fourier",
-    "controlled_power",
-    "qpe_circuit",
     "run_qpe",
     "phase_from_outcome",
     "outcome_digits",
@@ -60,9 +56,9 @@ class QpeSpec:
     eigenstate: StateVector
 
     def __post_init__(self) -> None:
-        if self.d < 2:
+        if _integer(self.d, "d") < 2:
             raise ValueError("qudit dimension must be at least 2")
-        if self.t < 1:
+        if _integer(self.t, "t") < 1:
             raise ValueError("register needs at least one qudit")
         if self.U.register.cutoffs != (self.d,):
             raise ValueError("U must act on a single qudit of dimension d")
@@ -87,51 +83,6 @@ class QpeSpec:
         return (cmath.phase(lam) / (2.0 * math.pi)) % 1.0
 
 
-def qudit_fourier(d: int) -> Operator:
-    """Fourier matrix F_jk = exp(2 pi i j k / d) / sqrt(d); the d=2 case is
-    the Hadamard gate."""
-    if d < 2:
-        raise ValueError("Fourier transform needs dimension at least 2")
-    j = np.arange(d)
-    F = np.exp(2j * np.pi * np.outer(j, j) / d) / math.sqrt(d)
-    return Operator(F, QumodeRegister((d,)))
-
-
-def _controlled(W: np.ndarray, n: int) -> np.ndarray:
-    """Block ladder ``sum_c |c><c| (x) W^c`` over ``n`` control values."""
-    m = W.shape[0]
-    out = np.zeros((n * m, n * m), dtype=complex)
-    block = np.eye(m, dtype=complex)
-    for c in range(n):
-        out[c * m : (c + 1) * m, c * m : (c + 1) * m] = block
-        block = block @ W
-    return out
-
-
-def controlled_power(U: Operator, j: int, d: int) -> Operator:
-    """Two-qudit gate ``sum_c |c><c| (x) U^(c d^j)`` on control (x) target."""
-    if j < 0:
-        raise ValueError("power index must be non-negative")
-    if U.register.cutoffs != (d,):
-        raise ValueError("U must act on a single qudit of dimension d")
-    _check_unitary(U.entries, "U")
-    W = np.linalg.matrix_power(U.entries, d**j)
-    return Operator(_controlled(W, d), QumodeRegister((d, d)))
-
-
-def qpe_circuit(spec: QpeSpec) -> Operator:
-    """Full circuit unitary on the ``t + 1`` qudit register + target space.
-
-    The controlled powers form one ladder over the register readout, read as
-    a base-d integer with qudit 1 most significant (the flat-index convention).
-    """
-    d, t = spec.d, spec.t
-    prepare = np.kron(reduce(np.kron, [qudit_fourier(d).entries] * t), np.eye(d))
-    readout = np.kron(qudit_fourier(d**t).entries.conj().T, np.eye(d))
-    circuit = readout @ _controlled(spec.U.entries, d**t) @ prepare
-    return Operator(circuit, QumodeRegister((d,) * (t + 1)))
-
-
 def run_qpe(spec: QpeSpec) -> np.ndarray:
     """Exact outcome distribution over the ``d^t`` register readouts."""
     n = spec.d**spec.t
@@ -139,7 +90,7 @@ def run_qpe(spec: QpeSpec) -> np.ndarray:
     kicked[0] = spec.eigenstate.amplitudes
     for x in range(1, n):
         kicked[x] = spec.U.entries @ kicked[x - 1]
-    final = np.fft.fft(kicked, axis=0) / n  # qudit_fourier(n)^dag @ kicked / sqrt(n)
+    final = np.fft.fft(kicked, axis=0) / n  # (register Fourier matrix)^dag @ kicked / sqrt(n)
     return (np.abs(final) ** 2).sum(axis=1)
 
 

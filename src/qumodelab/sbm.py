@@ -18,8 +18,8 @@ is the same in every term, so the sum factors as
     sum_n adag^n Gamma^(k-1) (sum_m H_nm sqrt(m!/n!) adag^(k-1-m)) / ((k-1)!)^2,
 
 one ``Gamma^(k-1)``, one ladder of ``adag`` powers and O(k) matrix
-products. :func:`sbm_projector` builds one ``P_nm`` as written; it is the
-reference the factored map is tested against.
+products. Its oracle, ``sbm_projector`` in ``tests/oracles.py``, builds one
+``P_nm`` as written.
 
 Outside the lowest k levels the mapped operator is in general non-Hermitian
 and carries no meaning for the embedded dynamics, so time evolution here
@@ -48,7 +48,6 @@ __all__ = [
     "DenseHamiltonian",
     "SnailParams",
     "fmo_hamiltonian",
-    "sbm_projector",
     "map_hamiltonian",
     "computational_block",
     "sbm_evolve",
@@ -126,25 +125,6 @@ def _check_mapping_args(k: int, cutoff: int) -> None:
             f"cutoff {cutoff} too small: the projector polynomial reaches level "
             f"{2 * (k - 1)}, so at least {2 * k - 1} levels are required"
         )
-
-
-def sbm_projector(n: int, m: int, k: int, cutoff: int) -> Operator:
-    """Ladder-operator polynomial acting as ``|n><m|`` on levels 0..k-1,
-    a float64 operator."""
-    if not (0 <= n <= k - 1 and 0 <= m <= k - 1):
-        raise ValueError(f"projector labels ({n}, {m}) outside 0..{k - 1}")
-    _check_mapping_args(k, cutoff)
-    reg = QumodeRegister((cutoff,))
-    a = _single_mode_annihilation(cutoff)
-    adag = a.T
-    gamma = ((k - 1) - np.arange(cutoff, dtype=float))[:, None] * a
-    poly = (
-        np.linalg.matrix_power(adag, n)
-        @ np.linalg.matrix_power(gamma, k - 1)
-        @ np.linalg.matrix_power(adag, k - 1 - m)
-    )
-    scale = math.sqrt(math.factorial(m) / math.factorial(n)) / math.factorial(k - 1) ** 2
-    return Operator(scale * poly, reg)
 
 
 def map_hamiltonian(H: DenseHamiltonian, cutoff: int) -> Operator:

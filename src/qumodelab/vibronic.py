@@ -11,11 +11,11 @@ here, with squeezers acting first,
 
 is a convention of this library and is documented rather than configurable.
 
-A Franck-Condon factor is the squared modulus of a single matrix element of
-that unitary. ``franck_condon_factor(U, initial, final)`` computes
-``|<initial| U |final>|^2`` where ``initial`` labels the vibrational state on
-the starting surface (the bra, the measured photon-number outcome) and
-``final`` labels the prepared Fock state on the target surface (the ket).
+A Franck-Condon factor ``|<initial| U |final>|^2`` is the squared modulus of
+one matrix element of that unitary: ``initial`` labels the vibrational state
+on the starting surface (the bra, the measured photon-number outcome) and
+``final`` the prepared Fock state on the target surface (the ket).
+:func:`fcf_table` gives them for one ``initial`` label.
 """
 
 from __future__ import annotations
@@ -28,13 +28,7 @@ from .fock import FockIndex, Operator, QumodeRegister, flat_index
 from .gates import GateSpec, beamsplitter, compose_circuit, displacement, squeezing
 from .spectrum import Spectrum
 
-__all__ = [
-    "DoktorovSpec",
-    "doktorov_operator",
-    "franck_condon_factor",
-    "fcf_table",
-    "stick_spectrum",
-]
+__all__ = ["DoktorovSpec", "doktorov_operator", "fcf_table", "stick_spectrum"]
 
 
 @dataclass(frozen=True)
@@ -71,15 +65,6 @@ def doktorov_operator(spec: DoktorovSpec, reg: QumodeRegister) -> Operator:
     if reg.nmodes != 2:
         raise ValueError(f"Doktorov operator needs exactly 2 modes, got {reg.nmodes}")
     return compose_circuit(_circuit(spec), reg)
-
-
-def franck_condon_factor(
-    U: Operator, initial: FockIndex, final: FockIndex
-) -> float:
-    """``|<initial| U |final>|^2`` for two-mode occupation labels."""
-    row = flat_index(initial, U.register)
-    col = flat_index(final, U.register)
-    return float(abs(U.entries[row, col]) ** 2)
 
 
 def fcf_table(U: Operator, initial: FockIndex, maxq: int) -> np.ndarray:

@@ -21,11 +21,11 @@ from qumodelab import (
     identity,
     number,
     quadratures,
-    qudit_fourier,
     rotation,
     squeezing,
-    unflatten,
 )
+
+from oracles import qudit_fourier
 
 
 def taylor_expm(M, nterms=50):
@@ -59,6 +59,20 @@ def test_register_validation():
     assert reg.nmodes == 2
 
 
+@pytest.mark.parametrize("value", [2.5, 2.0, np.float64(2.0), True, np.True_, "2"])
+def test_register_and_flat_index_refuse_non_integers(value):
+    with pytest.raises(ValueError, match="cutoff must be an integer"):
+        QumodeRegister((value, 2))
+    with pytest.raises(ValueError, match="occupation must be an integer"):
+        flat_index((value,), QumodeRegister((3,)))
+
+
+def test_register_and_flat_index_accept_numpy_integers():
+    reg = QumodeRegister((np.int64(3), np.int32(2)))
+    assert reg.cutoffs == (3, 2) and type(reg.cutoffs[0]) is int
+    assert flat_index((np.int64(2), np.uint8(1)), reg) == 5
+
+
 def test_flat_index_examples():
     assert flat_index((0, 0), QumodeRegister((3, 3))) == 0
     assert flat_index((1, 2), QumodeRegister((3, 3))) == 5
@@ -82,7 +96,7 @@ def test_flat_unflatten_roundtrip_random_registers():
         cutoffs = tuple(int(rng.integers(1, 6)) for _ in range(nmodes))
         reg = QumodeRegister(cutoffs)
         for i in range(reg.dim):
-            assert flat_index(unflatten(i, reg), reg) == i
+            assert flat_index(np.unravel_index(i, reg.cutoffs), reg) == i
 
 
 # ---------------------------------------------------------------------------

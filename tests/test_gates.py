@@ -16,7 +16,6 @@ from qumodelab import (
     rotation,
     squeezing,
     top_level_population,
-    unflatten,
 )
 
 
@@ -31,7 +30,7 @@ def interior_indices(reg, involved, margin=2):
     """Flat indices whose occupation on every involved mode is below d - margin."""
     keep = []
     for i in range(reg.dim):
-        occs = unflatten(i, reg)
+        occs = np.unravel_index(i, reg.cutoffs)
         if all(occs[m - 1] < reg.cutoffs[m - 1] - margin for m in involved):
             keep.append(i)
     return keep

@@ -8,11 +8,11 @@ import pytest
 from qumodelab import (
     adjacency_from_edges,
     hafnian,
-    perfect_matching_count,
-    read_edge_list,
     substructure_signature,
 )
-from qumodelab.graphs import _hafnians
+from qumodelab.graphs import _hafnians, _read_edges
+
+from oracles import perfect_matching_count
 
 
 def complete_graph(n):
@@ -165,6 +165,15 @@ def test_block_diagonal_count_at_the_cap():
     assert hafnian(M[np.ix_(perm, perm)]) == expected
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_entry_is_refused_by_name(value):
+    A = complete_graph(4)
+    A[0, 1] = A[1, 0] = value
+    for f in (hafnian, substructure_signature):
+        with pytest.raises(ValueError, match="non-finite entry"):
+            f(A)
+
+
 def test_hafnian_memory_is_bounded():
     rng = np.random.default_rng(53)
     A = np.triu(rng.uniform(0.05, 0.95, (20, 20)), 1)
@@ -305,14 +314,14 @@ def test_adjacency_refuses_non_finite_weight(weight):
 
 def test_read_edge_list(tmp_path):
     path = tmp_path / "k4.edges"
-    path.write_text("# complete graph on 4 vertices\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n")
-    A = read_edge_list(path)
+    path.write_text("# complete graph on 4 vertices\n1 2\n1 3\n\n1 4\n2 3\n2 4\n3 4\n")
+    A = adjacency_from_edges(_read_edges(path))
     assert np.array_equal(A, complete_graph(4))
     weighted = tmp_path / "w.edges"
     weighted.write_text("1 2 2.5\n")
-    B = read_edge_list(weighted, n=3)
+    B = adjacency_from_edges(_read_edges(weighted), n=3)
     assert B.shape == (3, 3) and B[0, 1] == 2.5
     bad = tmp_path / "bad.edges"
     bad.write_text("1 2 3 4\n")
     with pytest.raises(ValueError):
-        read_edge_list(bad)
+        _read_edges(bad)

@@ -19,10 +19,11 @@ from qumodelab import (
     kerrcat_hamiltonian,
     metapotential_dos,
     pair_gaps,
-    parity_split,
     quadratures,
 )
 from qumodelab import cli, kerrcat
+
+from oracles import parity_split
 
 
 def eig(H):
@@ -334,6 +335,15 @@ def test_metapotential_window_needs_positive_kerr(K):
         esqpt_energy(params)
 
 
+@pytest.mark.parametrize("span", [0.0, -1.0, float("nan"), float("inf")])
+def test_metapotential_window_needs_finite_positive_span(span):
+    # numpy widens the empty window of span 0 to (-0.5, 0.5).
+    params = KerrCatParams(xi=2.0, K=1.0, cutoff=60)
+    for estimate in (metapotential_dos, esqpt_energy):
+        with pytest.raises(ValueError, match="span must be finite and > 0"):
+            estimate(params, span=span)
+
+
 # ---------------------------------------------------------------------------
 # double well
 # ---------------------------------------------------------------------------
@@ -391,6 +401,14 @@ def test_doublewell_params_refuse_non_finite(field, value):
     kwargs[field] = value
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         DoubleWellParams(**kwargs)
+
+
+@pytest.mark.parametrize("cutoff", [4.5, 60.0, np.float64(60.0), True])
+def test_params_refuse_non_integer_cutoff(cutoff):
+    with pytest.raises(ValueError, match="cutoff must be an integer"):
+        DoubleWellParams(1.0, 1.0, cutoff=cutoff)
+    with pytest.raises(ValueError, match="cutoff must be an integer"):
+        KerrCatParams(xi=1.0, cutoff=cutoff)
 
 
 # ---------------------------------------------------------------------------

@@ -46,3 +46,10 @@ def test_package_exports_nothing_else():
     exported = set().union(*map(module_all, LIBRARY))
     # errors.py has no __all__; ``import *`` takes its two classes.
     assert public - exported == {"ContractViolation", "ConvergenceError"}
+
+
+def test_test_references_and_duplicates_are_not_public():
+    gone = {"qpe_circuit", "qudit_fourier", "controlled_power", "sbm_projector", "parity_split",
+            "perfect_matching_count", "unflatten", "read_edge_list", "franck_condon_factor"}
+    assert not gone & set(dir(qumodelab))
+    assert not gone & set().union(*map(module_all, MODULES))

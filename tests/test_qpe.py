@@ -10,14 +10,13 @@ from qumodelab import (
     QumodeRegister,
     StateVector,
     basis_state,
-    controlled_power,
     outcome_digits,
     phase_from_outcome,
-    qpe_circuit,
-    qudit_fourier,
     run_qpe,
     sample_readout,
 )
+
+from oracles import qpe_circuit, qudit_fourier
 
 
 def phase_spec(d, t, phi, eigenlevel=1):
@@ -54,47 +53,6 @@ def test_fourier_fourth_power_is_identity():
 def test_fourier_dimension_validation():
     with pytest.raises(ValueError):
         qudit_fourier(1)
-
-
-# ---------------------------------------------------------------------------
-# controlled powers
-# ---------------------------------------------------------------------------
-
-
-def test_controlled_identity_is_identity():
-    reg = QumodeRegister((3,))
-    U = Operator(np.eye(3, dtype=complex), reg)
-    CP = controlled_power(U, j=2, d=3)
-    assert np.abs(CP.entries - np.eye(9)).max() < 1e-14
-
-
-def test_control_zero_leaves_target():
-    d = 3
-    reg = QumodeRegister((d,))
-    U = Operator(np.diag(np.exp(2j * np.pi * 0.3 * np.arange(d))), reg)
-    CP = controlled_power(U, j=0, d=d)
-    reg2 = QumodeRegister((d, d))
-    for target in range(d):
-        psi = basis_state(reg2, (0, target))
-        out = CP.apply(psi)
-        assert np.abs(out.amplitudes - psi.amplitudes).max() < 1e-14
-
-
-def test_controlled_z_sign_flip():
-    # 4x4 oracle: control |1>, target |1>, U = diag(1, -1), j = 0
-    d = 2
-    reg = QumodeRegister((d,))
-    U = Operator(np.diag([1.0, -1.0]).astype(complex), reg)
-    CP = controlled_power(U, j=0, d=d).entries
-    oracle = np.diag([1.0, 1.0, 1.0, -1.0])
-    assert np.abs(CP - oracle).max() < 1e-14
-
-
-def test_controlled_power_rejects_non_unitary():
-    reg = QumodeRegister((2,))
-    M = Operator(np.array([[1.0, 0.0], [0.0, 0.5]]).astype(complex), reg)
-    with pytest.raises(ContractViolation):
-        controlled_power(M, j=0, d=2)
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +172,8 @@ def test_eigenstate_validation():
     plus = StateVector(np.array([1.0, 1.0]) / np.sqrt(2), reg)
     spec = QpeSpec(d=2, t=1, U=U, eigenstate=plus)
     assert abs(spec.phase - 0.0) < 1e-12
+    with pytest.raises(ContractViolation, match="U is not unitary"):
+        QpeSpec(d=2, t=1, U=0.5 * U, eigenstate=plus)
 
 
 def test_non_diagonal_unitary():
@@ -227,6 +187,20 @@ def test_non_diagonal_unitary():
     dist_minus = run_qpe(QpeSpec(d=2, t=1, U=U, eigenstate=minus))
     assert abs(dist_plus[0] - 1.0) < 1e-12
     assert abs(dist_minus[1] - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("field, value", [("d", 2.0), ("d", True), ("t", 1.5), ("t", np.True_)])
+def test_spec_refuses_non_integer_sizes(field, value):
+    spec = phase_spec(2, 1, 0.5)
+    kwargs = {"d": 2, "t": 1, "U": spec.U, "eigenstate": spec.eigenstate, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        QpeSpec(**kwargs)
+
+
+def test_spec_accepts_numpy_integer_sizes():
+    spec = phase_spec(2, 2, 0.25)
+    numpy_sizes = QpeSpec(d=np.int64(2), t=np.int32(2), U=spec.U, eigenstate=spec.eigenstate)
+    assert np.array_equal(run_qpe(numpy_sizes), run_qpe(spec))
 
 
 def test_phase_property():

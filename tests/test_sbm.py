@@ -19,10 +19,11 @@ from qumodelab import (
     map_hamiltonian,
     number,
     sbm_evolve,
-    sbm_projector,
     snail_hamiltonian,
 )
 from qumodelab.fock import _propagate
+
+from oracles import sbm_projector
 
 
 def random_hermitian(k, rng):

@@ -9,11 +9,12 @@ from qumodelab import (
     Spectrum,
     doktorov_operator,
     fcf_table,
-    franck_condon_factor,
     gate_matrix,
     displacement,
     stick_spectrum,
 )
+
+from oracles import franck_condon_factor
 
 
 def make_reg(d=16):
