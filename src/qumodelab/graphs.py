@@ -19,6 +19,8 @@ from itertools import combinations
 
 import numpy as np
 
+from .fock import _integer
+
 __all__ = ["hafnian", "substructure_signature", "adjacency_from_edges"]
 
 MAX_HAFNIAN_SIZE = 20
@@ -139,8 +141,9 @@ def adjacency_from_edges(edges, n: int | None = None) -> np.ndarray:
     if n is None:
         if not edges:
             raise ValueError("cannot infer the vertex count from an empty edge list")
-        n = max(max(e[0], e[1]) for e in edges)
-    A = np.zeros((int(n), int(n)))
+        n = int(max(max(e[0], e[1]) for e in edges))
+    n = _integer(n, "n")
+    A = np.zeros((n, n))
     for e in edges:
         if len(e) == 2:
             i, j = e

@@ -48,6 +48,9 @@ __all__ = [
 
 SWEEP_CONVERGENCE_TOL = 1e-8
 MIN_DOS_BINS = 10
+# Floats per stacked eigvalsh call (512 KiB): the sweep's leading blocks take
+# bounded memory at any grid length.
+_STACK_FLOATS = 2**16
 
 
 @dataclass(frozen=True)
@@ -122,26 +125,30 @@ class SpectrumSweep:
         return self.excitations.shape[1]
 
 
-def _bands(p: KerrCatParams) -> tuple[np.ndarray, np.ndarray]:
+def _bands(K: float, xi, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     """The Fock-basis bands of the Kerr-cat Hamiltonian: ``K n (n - 1)`` on the
-    diagonal, and ``-K xi <m|a^2|m+2> = -K xi sqrt(m+1) sqrt(m+2)`` at (m, m + 2)."""
-    n = np.arange(p.cutoff, dtype=float)
-    m = np.arange(p.cutoff - 2)
-    return p.K * (n * (n - 1.0)), p.K * -(p.xi * (np.sqrt(m + 1.0) * np.sqrt(m + 2.0)))
+    diagonal, and ``-K xi <m|a^2|m+2> = -K xi sqrt(m+1) sqrt(m+2)`` at (m, m + 2),
+    one drive row per entry of an array ``xi``."""
+    n = np.arange(cutoff, dtype=float)
+    m = np.arange(cutoff - 2)
+    return K * (n * (n - 1.0)), K * -np.multiply.outer(xi, np.sqrt(m + 1.0) * np.sqrt(m + 2.0))
 
 
 def _symmetric_band_matrix(diagonal: np.ndarray, band: np.ndarray, offset: int) -> np.ndarray:
-    """Symmetric matrix with ``diagonal`` and ``band`` at ``offset`` places off it."""
-    H = np.diag(diagonal)
-    i = np.arange(len(band))
-    H[i, i + offset] = H[i + offset, i] = band
+    """Symmetric matrices with ``diagonal`` and ``band`` at ``offset`` places off
+    it, one per leading index of ``band``."""
+    H = np.zeros(band.shape[:-1] + diagonal.shape * 2)
+    i = np.arange(len(diagonal))
+    H[..., i, i] = diagonal
+    j = i[: band.shape[-1]]
+    H[..., j, j + offset] = H[..., j + offset, j] = band
     return H
 
 
 def kerrcat_hamiltonian(p: KerrCatParams) -> Operator:
     """K [ n (n - 1) - xi (adag^2 + a^2) ] on a single truncated mode, filled
     from its diagonal and the two bands two places off it."""
-    H = _symmetric_band_matrix(*_bands(p), offset=2)
+    H = _symmetric_band_matrix(*_bands(p.K, p.xi, p.cutoff), offset=2)
     return Operator(H, QumodeRegister((p.cutoff,)))
 
 
@@ -149,23 +156,41 @@ def _parity_blocks(p: KerrCatParams) -> tuple[np.ndarray, np.ndarray]:
     """The even and odd Fock-level blocks of :func:`kerrcat_hamiltonian`, as
     tridiagonal matrices built from the bands without the full matrix. Their
     oracle is ``parity_split`` in ``tests/oracles.py``."""
-    diagonal, drive = _bands(p)
+    diagonal, drive = _bands(p.K, p.xi, p.cutoff)
     return tuple(_symmetric_band_matrix(diagonal[s::2], drive[s::2], 1) for s in (0, 1))
 
 
-def _labelled_levels(K: float, xi: float, cutoff: int, n_levels: int):
-    """The lowest ``n_levels`` energies of both parity blocks, merged, with labels."""
-    even, odd = _parity_blocks(KerrCatParams(xi=xi, K=K, cutoff=cutoff))
-    ev_e = np.linalg.eigvalsh(even)
-    ev_o = np.linalg.eigvalsh(odd)
-    energies = np.concatenate([ev_e, ev_o])
-    labels = np.concatenate([np.ones(len(ev_e), int), -np.ones(len(ev_o), int)])
+def _roundoff(diagonal: np.ndarray, drive: np.ndarray) -> np.ndarray:
+    """eps times a Gershgorin bound on the spectrum of the Hamiltonian with these
+    bands, one per drive row; summed in quarters so that it stays finite."""
+    quarter = np.abs(drive) / 4
+    rows = np.abs(diagonal) / 4 + np.pad(quarter, ((0, 0), (2, 0)))
+    rows += np.pad(quarter, ((0, 0), (0, 2)))
+    return 4 * np.finfo(float).eps * rows.max(axis=1)
+
+
+def _merged_levels(even: np.ndarray, odd: np.ndarray, roundoff: float, n_levels: int):
+    """The lowest ``n_levels`` of two ascending parity spectra, merged, with labels.
+
+    Levels closer than ``8 roundoff`` (the cat pair at -K xi^2) are labelled even
+    first. ``roundoff`` comes from the whole cutoff's bands, so the labels do not
+    depend on how many levels of each block are passed in.
+    """
+    energies = np.concatenate([even, odd])
+    labels = np.concatenate([np.ones(len(even), int), -np.ones(len(odd), int)])
     order = np.argsort(energies, kind="stable")
     energies, labels = energies[order], labels[order]
-    # Levels equal within round-off (the cat pair at -K xi^2) are labelled even first.
-    split = np.diff(energies) > 8 * np.finfo(float).eps * np.abs(energies).max()
+    split = np.diff(energies) > 8 * roundoff
     labels = labels[np.lexsort((-labels, np.r_[0, np.cumsum(split)]))]
     return energies[:n_levels], labels[:n_levels]
+
+
+def _labelled_levels(K: float, xi: float, cutoff: int, n_levels: int):
+    """The lowest ``n_levels`` energies of both whole parity blocks, merged, with labels."""
+    p = KerrCatParams(xi=xi, K=K, cutoff=cutoff)
+    even, odd = (np.linalg.eigvalsh(block) for block in _parity_blocks(p))
+    (roundoff,) = _roundoff(*_bands(K, [xi], cutoff))
+    return _merged_levels(even, odd, roundoff, n_levels)
 
 
 def _count_below(d: np.ndarray, e: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -192,10 +217,48 @@ def _count_below(d: np.ndarray, e: np.ndarray, x: np.ndarray) -> np.ndarray:
     return count
 
 
+def _lowest_eigenvalues(d: np.ndarray, e: np.ndarray, roundoff: np.ndarray, want: int):
+    """The lowest ``want`` (at most all) eigenvalues of each tridiagonal matrix
+    ``T_g`` with diagonal ``d`` and off-diagonal ``e[g]``, from its smallest
+    certified leading block.
+
+    By Cauchy interlacing, the k-th eigenvalue ``mu_k`` of a leading block is
+    at least the k-th eigenvalue of ``T_g``. A Sturm count of at most k
+    eigenvalues of ``T_g`` below ``mu_k - 64 roundoff[g]`` bounds it from below
+    as well, at the round-off of a dense solve of ``T_g``. The leading blocks
+    start at 32 rows and double for the matrices that are not cleared, up to
+    ``T_g`` itself.
+    """
+    want = min(want, len(d))
+    out = np.empty((len(e), want))
+    todo = np.arange(len(e))
+    m = max(32, want)
+    while len(todo):
+        m = min(m, len(d))
+        mu = np.concatenate([
+            np.linalg.eigvalsh(_symmetric_band_matrix(d[:m], e[chunk, : m - 1], 1))[:, :want]
+            for chunk in np.array_split(todo, -(-len(todo) * m * m // _STACK_FLOATS))
+        ])
+        if m == len(d):
+            out[todo] = mu
+            break
+        x = mu - 64 * roundoff[todo, None]
+        cleared = (_count_below(d, e[todo], x) <= np.arange(want)).all(axis=1)
+        out[todo[cleared]] = mu[cleared]
+        todo = todo[~cleared]
+        m *= 2
+    return out
+
+
 def excitation_sweep(
     K: float, xi_grid, cutoff: int, n_levels: int
 ) -> SpectrumSweep:
     """Lowest excitation energies with parity labels over a xi grid.
+
+    The levels of each parity block come from its smallest leading block
+    (32 rows, doubled as needed) whose lowest levels a Sturm count certifies,
+    so they equal the cutoff-``cutoff`` levels to round-off; a cutoff-200
+    sweep solves 32-row blocks, not 100-row ones.
 
     Each grid point is checked for truncation convergence against
     ``cutoff + 10``; disagreement beyond 1e-8 raises :class:`ConvergenceError`
@@ -206,22 +269,28 @@ def excitation_sweep(
     ``cutoff + 10``.
     """
     xi_grid = np.atleast_1d(np.asarray(xi_grid, dtype=float))
-    if n_levels < 1:
+    if _integer(n_levels, "n_levels") < 1:
         raise ValueError("n_levels must be positive")
     if n_levels > cutoff:
         raise ValueError("n_levels cannot exceed the cutoff")
+    for xi in xi_grid:
+        KerrCatParams(xi=xi, K=K, cutoff=cutoff)
+    KerrCatParams(xi=0.0, K=K, cutoff=cutoff + 10)  # on an empty grid too
+    # The cutoff bands are the leading entries of the cutoff + 10 ones.
+    diagonal, drive = _bands(K, xi_grid, cutoff + 10)
+    roundoff = _roundoff(diagonal[:cutoff], drive[:, : cutoff - 2])
+    even, odd = (
+        _lowest_eigenvalues(diagonal[s:cutoff:2], drive[:, s : cutoff - 2 : 2], roundoff, n_levels)
+        for s in (0, 1)
+    )
     levels = np.empty((len(xi_grid), n_levels))
     all_par = np.empty((len(xi_grid), n_levels), dtype=int)
-    for i, xi in enumerate(xi_grid):
-        levels[i], all_par[i] = _labelled_levels(K, xi, cutoff, n_levels)
+    for i in range(len(xi_grid)):
+        levels[i], all_par[i] = _merged_levels(even[i], odd[i], roundoff[i], n_levels)
     all_ex = levels - levels[:, :1]
     # Each cutoff block is a leading block of its cutoff + 10 block, so by
     # interlacing the k-th merged level there is at most levels[:, k]. At most
     # k eigenvalues below levels[:, k] - tol/2 bound it from below as well.
-    diagonal, _ = _bands(KerrCatParams(xi=0.0, K=K, cutoff=cutoff + 10))
-    drive = np.array(
-        [_bands(KerrCatParams(xi=xi, K=K, cutoff=cutoff + 10))[1] for xi in xi_grid]
-    ).reshape(len(xi_grid), cutoff + 8)
     x = levels - SWEEP_CONVERGENCE_TOL / 2
     below = sum(_count_below(diagonal[s::2], drive[:, s::2], x) for s in (0, 1))
     for i in np.flatnonzero((below > np.arange(n_levels)).any(axis=1)):
@@ -271,7 +340,7 @@ def density_of_states(
 
 def _histogram(evals: np.ndarray, bins: int, window: tuple[float, float]) -> Spectrum:
     """Normalized histogram of the eigenvalues inside ``window``, at bin centers."""
-    if bins < MIN_DOS_BINS:
+    if _integer(bins, "bins") < MIN_DOS_BINS:
         raise ValueError(f"at least {MIN_DOS_BINS} bins are required, got {bins}")
     lo, hi = window
     kept = evals[(evals >= lo) & (evals <= hi)]
@@ -331,10 +400,28 @@ def doublewell_hamiltonian(p: DoubleWellParams) -> Operator:
     ``p^2 = -1/2 (adag - a)(adag - a)``, the same truncated products without
     the factor ``i`` that would make them complex.
     """
+    return Operator(_doublewell_matrix(p), QumodeRegister((p.cutoff,)))
+
+
+def _doublewell_matrix(p: DoubleWellParams) -> np.ndarray:
+    """The matrix of :func:`doublewell_hamiltonian`, summed in place in the
+    order of its formula: at most four cutoff x cutoff arrays are alive at
+    once, and only the result when ``Operator`` copies it. This transient
+    tops the peak memory of a process that runs cutoff-200 double wells."""
     a = _single_mode_annihilation(p.cutoff)
     adag = a.T
     x = math.sqrt(0.5) * (adag + a)
+    H = adag - a
+    H = H @ H
+    del a, adag
+    H *= -0.5
+    H *= 1.0 / (2.0 * p.mass)
     x2 = x @ x
-    mom2 = -0.5 * ((adag - a) @ (adag - a))
-    H = (1.0 / (2.0 * p.mass)) * mom2 + p.k4 * (x2 @ x2) - p.k2 * x2 + p.k1 * x
-    return Operator(H, QumodeRegister((p.cutoff,)))
+    x4 = x2 @ x2
+    x4 *= p.k4
+    H += x4
+    x2 *= p.k2
+    H -= x2
+    x *= p.k1
+    H += x
+    return H

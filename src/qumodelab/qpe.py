@@ -111,7 +111,7 @@ def phase_from_outcome(outcome: int, d: int, t: int) -> float:
 def sample_readout(dist: np.ndarray, shots: int, seed: int) -> np.ndarray:
     """Multinomial counts over the outcomes; deterministic for a given seed."""
     dist = np.asarray(dist, dtype=float)
-    if shots < 1:
+    if _integer(shots, "shots") < 1:
         raise ValueError("shots must be at least 1")
     if np.any(dist < -1e-12) or abs(dist.sum() - 1.0) > 1e-9:
         raise ValueError("distribution must be non-negative and sum to 1")

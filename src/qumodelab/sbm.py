@@ -38,6 +38,7 @@ from .fock import (
     Operator,
     QumodeRegister,
     _check_hermitian,
+    _integer,
     _propagate,
     _real_or_complex_copy,
     _single_mode_annihilation,
@@ -111,16 +112,16 @@ class SnailParams:
     cutoff: int
 
     def __post_init__(self) -> None:
-        if self.cutoff < 3:
+        if _integer(self.cutoff, "cutoff") < 3:
             raise ValueError("SNAIL cutoff must be at least 3")
         if not (math.isfinite(self.omega) and math.isfinite(self.g3)):
             raise ValueError("non-finite SNAIL parameter")
 
 
 def _check_mapping_args(k: int, cutoff: int) -> None:
-    if k < 1:
+    if _integer(k, "k") < 1:
         raise ValueError("k must be positive")
-    if cutoff < 2 * k - 1:
+    if _integer(cutoff, "cutoff") < 2 * k - 1:
         raise ValueError(
             f"cutoff {cutoff} too small: the projector polynomial reaches level "
             f"{2 * (k - 1)}, so at least {2 * k - 1} levels are required"

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockIndex, Operator, QumodeRegister, flat_index
+from .fock import FockIndex, Operator, QumodeRegister, _integer, flat_index
 from .gates import GateSpec, beamsplitter, compose_circuit, displacement, squeezing
 from .spectrum import Spectrum
 
@@ -76,8 +76,7 @@ def fcf_table(U: Operator, initial: FockIndex, maxq: int) -> np.ndarray:
     reg = U.register
     if reg.nmodes != 2:
         raise ValueError("FCF tables are defined for two-mode operators")
-    maxq = int(maxq)
-    if maxq < 0:
+    if _integer(maxq, "maxq") < 0:
         raise ValueError("maxq must be non-negative")
     if maxq >= min(reg.cutoffs):
         raise ValueError(

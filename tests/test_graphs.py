@@ -306,6 +306,13 @@ def test_adjacency_validation():
         adjacency_from_edges([], n=None)
 
 
+@pytest.mark.parametrize("n", [3.5, 3.0, True])
+def test_adjacency_refuses_non_integer_vertex_count(n):
+    with pytest.raises(ValueError, match="n must be an integer"):
+        adjacency_from_edges([[1, 2]], n=n)
+    assert adjacency_from_edges([[1, 2]], n=np.int64(3)).shape == (3, 3)
+
+
 @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf")])
 def test_adjacency_refuses_non_finite_weight(weight):
     with pytest.raises(ValueError, match=r"edge \(2, 3\) has non-finite weight"):

@@ -1,4 +1,6 @@
 import json
+import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -184,6 +186,17 @@ def test_sweep_equals_solving_every_point_again(K, n_levels):
             assert sweep_outcome(excitation_sweep, *args) == sweep_outcome(sweep_oracle, *args)
 
 
+@pytest.mark.parametrize("n_levels", [1, 12])
+@pytest.mark.parametrize("K", [-1.0, 0.0, 1.0])
+def test_sweep_equals_solving_every_point_again_past_32_rows(K, n_levels):
+    # Parity blocks of 35 to 101 rows, unequal at cutoff 201: the sweep takes
+    # leading blocks of them, and for K <= 0 it doubles them to the whole block.
+    for cutoff in (70, 120, 200, 201):
+        for grid in ([6.0], SCAN_XI):
+            args = (K, grid, cutoff, n_levels)
+            assert sweep_outcome(excitation_sweep, *args) == sweep_outcome(sweep_oracle, *args)
+
+
 @pytest.mark.parametrize(
     "K, grid, cutoff",
     [(1e3, [1e3], 20), (1e5, [0.5, 5.0], 400), (1.0, [0.0, 1e155], 30),
@@ -196,11 +209,22 @@ def test_sweep_equals_solving_every_point_again_at_extremes(K, grid, cutoff):
 
 def test_fig4_sweep_solves_each_parity_block_once(monkeypatch):
     p = json.loads(Path(cli.demo_path("kerrcat-fig4")).read_text())["params"]
-    calls = []
+    shapes = []
     eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda H: calls.append(len(H)) or eigvalsh(H))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda H: shapes.append(H.shape) or eigvalsh(H))
     excitation_sweep(p["K"], p["xi_grid"], p["cutoff"], p["n_levels"])
-    assert len(calls) == 2 * len(p["xi_grid"]) == 18
+    # A call may stack several blocks; each of the 9 x 2 blocks of 30 rows is solved once.
+    assert sum(math.prod(shape[:-2]) for shape in shapes) == 2 * len(p["xi_grid"]) == 18
+    assert {shape[-2:] for shape in shapes} == {(30, 30)}
+
+
+def test_cutoff_200_sweep_solves_only_32_row_blocks(monkeypatch):
+    rows = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda H: rows.append(H.shape[-1]) or eigvalsh(H))
+    sweep = excitation_sweep(1.0, np.linspace(0.0, 4.0, 40), 200, 12)
+    assert rows and max(rows) <= 32
+    assert sweep.excitations.shape == (40, 12)
 
 
 def tridiagonal(d, e):
@@ -411,6 +435,19 @@ def test_params_refuse_non_integer_cutoff(cutoff):
         KerrCatParams(xi=1.0, cutoff=cutoff)
 
 
+@pytest.mark.parametrize("n_levels, bins", [(2.5, 10.5), (4.0, 12.0), (True, np.True_)])
+def test_sweep_and_dos_refuse_non_integer_sizes(n_levels, bins):
+    with pytest.raises(ValueError, match="n_levels must be an integer"):
+        excitation_sweep(1.0, [1.0], 20, n_levels)
+    for estimate in (metapotential_dos, esqpt_energy):
+        with pytest.raises(ValueError, match="bins must be an integer"):
+            estimate(KerrCatParams(xi=2.0), bins=bins)
+    with pytest.raises(ValueError, match="bins must be an integer"):
+        density_of_states(kerrcat_hamiltonian(KerrCatParams(xi=2.0, cutoff=20)), bins=bins)
+    assert excitation_sweep(1.0, [1.0], 20, np.int64(4)).n_levels == 4
+    assert len(metapotential_dos(KerrCatParams(xi=2.0), bins=np.int64(12))) == 12
+
+
 # ---------------------------------------------------------------------------
 # invariants
 # ---------------------------------------------------------------------------
@@ -465,18 +502,38 @@ def test_doublewell_matches_quadrature_build(k4, k2, k1, mass, cutoff):
     assert np.abs(H - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
 
-def _complex_blocks(p):
-    return tuple(
-        block.entries.astype(complex) for block in parity_split(kerrcat_hamiltonian(p))
-    )
+def test_doublewell_build_holds_at_most_four_matrices():
+    p = DoubleWellParams(1.0, 4.0, 0.1, cutoff=200)
+    doublewell_hamiltonian(p)
+    tracemalloc.start()
+    try:
+        doublewell_hamiltonian(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 200**2 * 8 + 2**16
+
+
+def complex_levels(K, grid, cutoff, n_levels):
+    """Excitations and labels from the whole parity blocks of the full matrix,
+    solved as complex Hermitian matrices at every grid point."""
+    ex, par = [], []
+    for xi in grid:
+        H = kerrcat_hamiltonian(KerrCatParams(xi=xi, K=K, cutoff=cutoff))
+        even, odd = (np.linalg.eigvalsh(block.entries.astype(complex)) for block in parity_split(H))
+        (roundoff,) = kerrcat._roundoff(*kerrcat._bands(K, [xi], cutoff))
+        levels, labels = kerrcat._merged_levels(even, odd, roundoff, n_levels)
+        ex.append(levels - levels[0])
+        par.append(labels)
+    return kerrcat.SpectrumSweep(grid, ex, par)
 
 
 @pytest.mark.parametrize("cutoff", [60, 200])
-def test_sweep_matches_complex_eigensolver(monkeypatch, cutoff):
-    grid = [0.0, 0.7, 2.0, 4.0]
+def test_sweep_matches_complex_eigensolver(cutoff):
+    # At xi = 20 the 32-row leading blocks of cutoff 200 are not converged.
+    grid = [0.0, 0.7, 2.0, 4.0] + [20.0] * (cutoff == 200)
     sweep = excitation_sweep(1.0, grid, cutoff, 12)
-    monkeypatch.setattr(kerrcat, "_parity_blocks", _complex_blocks)
-    oracle = excitation_sweep(1.0, grid, cutoff, 12)
+    oracle = complex_levels(1.0, grid, cutoff, 12)
     scale = np.abs(oracle.excitations).max()
     assert np.abs(sweep.excitations - oracle.excitations).max() <= 1e-12 * scale
     assert np.array_equal(sweep.parities, oracle.parities)

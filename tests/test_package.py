@@ -2,11 +2,17 @@
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import qumodelab
+
+ROOT = Path(__file__).resolve().parent.parent
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(qumodelab.__path__))
 # The runner is reached as ``qumodelab.cli``; the package does not re-export it.
@@ -53,3 +59,34 @@ def test_test_references_and_duplicates_are_not_public():
             "perfect_matching_count", "unflatten", "read_edge_list", "franck_condon_factor"}
     assert not gone & set(dir(qumodelab))
     assert not gone & set().union(*map(module_all, MODULES))
+
+
+# numpy is the only runtime dependency; these happen to be installable next to it.
+UNDECLARED = ("scipy", "numba", "threadpoolctl", "hypothesis")
+
+RUN_EACH_PATH = """
+import sys
+import numpy as np
+import qumodelab as q
+
+q.excitation_sweep(1.0, [0.0, 2.0], 70, 6)
+q.metapotential_dos(q.KerrCatParams(xi=2.0, cutoff=60), bins=12)
+q.hafnian(np.ones((6, 6)) - np.eye(6))
+reg = q.QumodeRegister((2,))
+U = q.Operator(np.diag([1.0, -1.0]).astype(complex), reg)
+q.run_qpe(q.QpeSpec(d=2, t=2, U=U, eigenstate=q.basis_state(reg, (1,))))
+print(" ".join(name for name in %r if name in sys.modules))
+"""
+
+
+def test_library_runs_on_numpy_alone():
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_EACH_PATH % (UNDECLARED,)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

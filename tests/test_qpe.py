@@ -245,3 +245,10 @@ def test_sampling_validation():
         sample_readout(np.array([0.5, 0.2]), shots=10, seed=0)
     with pytest.raises(ValueError):
         sample_readout(np.array([0.5, 0.5]), shots=0, seed=0)
+
+
+@pytest.mark.parametrize("shots", [2.5, 2.0, True])
+def test_sampling_refuses_non_integer_shots(shots):
+    with pytest.raises(ValueError, match="shots must be an integer"):
+        sample_readout([0.5, 0.5], shots, 0)
+    assert sample_readout([0.5, 0.5], np.int64(3), 0).sum() == 3

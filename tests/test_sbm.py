@@ -214,6 +214,17 @@ def test_snail_cutoff_validation():
         SnailParams(omega=1.0, g3=0.1, cutoff=2)
 
 
+@pytest.mark.parametrize("cutoff", [3.5, 7.0, True])
+def test_sizes_refuse_non_integers(cutoff):
+    with pytest.raises(ValueError, match="cutoff must be an integer"):
+        SnailParams(omega=1.0, g3=0.1, cutoff=cutoff)
+    with pytest.raises(ValueError, match="cutoff must be an integer"):
+        map_hamiltonian(fmo_hamiltonian(), cutoff)
+    with pytest.raises(ValueError, match="k must be an integer"):
+        sbm_projector(0, 0, 2.0, 3)
+    assert map_hamiltonian(fmo_hamiltonian(), np.int64(7)).dim == 7
+
+
 # ---------------------------------------------------------------------------
 # invariants
 # ---------------------------------------------------------------------------

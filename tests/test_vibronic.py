@@ -153,6 +153,14 @@ def test_table_maxq_too_large():
         fcf_table(U, (0, 0), maxq=8)
 
 
+@pytest.mark.parametrize("maxq", [2.7, 3.0, True])
+def test_table_refuses_non_integer_maxq(maxq):
+    U = doktorov_operator(DoktorovSpec(), make_reg(6))
+    with pytest.raises(ValueError, match="maxq must be an integer"):
+        fcf_table(U, (0, 0), maxq=maxq)
+    assert fcf_table(U, (0, 0), maxq=np.int64(2)).shape == (3, 3)
+
+
 # ---------------------------------------------------------------------------
 # stick spectra
 # ---------------------------------------------------------------------------
