@@ -5,10 +5,11 @@ One experiment per JSON config file:
     {"experiment": "...", "params": {...}, "output": "path", "seed": 0}
 
 Subcommands: ``run <config.json>``, ``validate <config.json>``, ``demos``.
-Exit codes: 0 success, 1 validation failure, 2 convergence failure or
-numerical breakdown (overflow, invalid value, failed eigensolve), 3 I/O
-failure. Outputs are CSV (header row, LF endings, 12 significant digits) or
-JSON, byte-stable across reruns for a fixed config and seed.
+Exit codes: 0 success, 1 validation failure, 2 convergence failure,
+numerical breakdown (overflow, invalid value, failed eigensolve) or an array
+too large for memory, 3 I/O failure. Outputs are CSV (header row, LF
+endings, 12 significant digits) or JSON, byte-stable across reruns for a
+fixed config and seed.
 
 Each parameter is declared once, in its experiment's table (``_VIBRONIC``,
 ``_SBM``, ...): type, allowed range, default or required, and the library
@@ -139,9 +140,10 @@ class _Field(NamedTuple):
 def _fill(table: dict[str, _Field], given: dict, prefix: str, diags: list[Diagnostic]) -> dict:
     """Check ``given`` against ``table``; return the values, defaults filled in.
 
-    A field that fails its type, its bounds or its builder (by ValueError) is
-    reported once and takes its default, if any. Otherwise it is left out, and
-    every later bound, default or builder that reads it is skipped.
+    A field that fails its type, its bounds or its builder (by ValueError, or
+    by MemoryError when it is too large to build) is reported once and takes
+    its default, if any. Otherwise it is left out, and every later bound,
+    default or builder that reads it is skipped.
     """
     diags.extend(_err(prefix + key, "unknown key") for key in sorted(set(given) - set(table)))
     values: dict = {}
@@ -165,7 +167,7 @@ def _fill(table: dict[str, _Field], given: dict, prefix: str, diags: list[Diagno
                 continue
             if default is ...:
                 raise ValueError("required: " + text)
-        except ValueError as exc:
+        except (ValueError, MemoryError) as exc:
             diags.append(_err(prefix + name, str(exc)))
         except KeyError:  # the builder reads a field that failed
             continue
@@ -296,7 +298,7 @@ _QPE = {
     "d": _Field(_INT, lo=2),
     "t": _Field(_INT, lo=1),
     "phase": _Field(_NUMBER),
-    "shots": _Field(_INT, 0, lo=0),
+    "shots": _Field(_INT, 0, lo=0, hi=np.iinfo(np.int64).max),
 }
 
 
@@ -515,6 +517,9 @@ def run(config_path: str) -> int:
                 summary = _EXPERIMENTS[values["experiment"]][1](values)
         except (FloatingPointError, OverflowError, np.linalg.LinAlgError) as exc:
             print(f"error: numerical: {exc}", file=sys.stderr)
+            return EXIT_CONVERGENCE
+        except MemoryError as exc:
+            print(f"error: memory: {exc}", file=sys.stderr)
             return EXIT_CONVERGENCE
     except ConvergenceError as exc:
         print(f"error: convergence: {exc}", file=sys.stderr)

@@ -162,9 +162,12 @@ def beamsplitter_action(
 
 def compose_circuit(gates: list[GateSpec], reg: QumodeRegister) -> Operator:
     """Product of gate matrices, applied left to right in time: the first
-    gate in the list is the rightmost factor of the matrix product."""
-    U = identity(reg)
-    for gate in gates:
+    gate in the list is the rightmost factor of the matrix product; no gates
+    give the identity."""
+    if not gates:
+        return identity(reg)
+    U = gate_matrix(gates[0], reg)
+    for gate in gates[1:]:
         U = gate_matrix(gate, reg) @ U
     return U
 

@@ -185,14 +185,6 @@ def _merged_levels(even: np.ndarray, odd: np.ndarray, roundoff: float, n_levels:
     return energies[:n_levels], labels[:n_levels]
 
 
-def _labelled_levels(K: float, xi: float, cutoff: int, n_levels: int):
-    """The lowest ``n_levels`` energies of both whole parity blocks, merged, with labels."""
-    p = KerrCatParams(xi=xi, K=K, cutoff=cutoff)
-    even, odd = (np.linalg.eigvalsh(block) for block in _parity_blocks(p))
-    (roundoff,) = _roundoff(*_bands(K, [xi], cutoff))
-    return _merged_levels(even, odd, roundoff, n_levels)
-
-
 def _count_below(d: np.ndarray, e: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Number of eigenvalues below each ``x[g, l]`` of the symmetric tridiagonal
     matrix with diagonal ``d`` and off-diagonal ``e[g]``.
@@ -265,8 +257,10 @@ def excitation_sweep(
     naming the offending xi. A Sturm count on the ``cutoff + 10`` parity
     blocks clears most points without solving them: when it proves that no
     level moves by more than half the tolerance, no excitation can move by
-    more than the tolerance. Only the other points are solved again at
-    ``cutoff + 10``.
+    more than the tolerance. The other points are solved again at
+    ``cutoff + 10`` by the same certified solver, stacked over the grid, with
+    its round-off capped at ``tol / 2**16``: a leading block then stands in for
+    the whole only within ``tol / 1024``, never for the cutoff block itself.
     """
     xi_grid = np.atleast_1d(np.asarray(xi_grid, dtype=float))
     if _integer(n_levels, "n_levels") < 1:
@@ -293,14 +287,18 @@ def excitation_sweep(
     # k eigenvalues below levels[:, k] - tol/2 bound it from below as well.
     x = levels - SWEEP_CONVERGENCE_TOL / 2
     below = sum(_count_below(diagonal[s::2], drive[:, s::2], x) for s in (0, 1))
-    for i in np.flatnonzero((below > np.arange(n_levels)).any(axis=1)):
-        xi = xi_grid[i]
-        check, _ = _labelled_levels(K, xi, cutoff + 10, n_levels)
-        drift = np.abs(all_ex[i] - (check - check[0])).max()
-        if drift > SWEEP_CONVERGENCE_TOL:
+    todo = np.flatnonzero((below > np.arange(n_levels)).any(axis=1))
+    if len(todo):
+        roundoff = np.minimum(_roundoff(diagonal, drive[todo]), SWEEP_CONVERGENCE_TOL / 2**16)
+        check = np.sort(np.hstack([
+            _lowest_eigenvalues(diagonal[s::2], drive[todo, s::2], roundoff, n_levels) for s in (0, 1)
+        ]))[:, :n_levels]
+        drift = np.abs(all_ex[todo] - (check - check[:, :1])).max(axis=1)
+        i = np.argmax(drift > SWEEP_CONVERGENCE_TOL)  # the first point in grid order that fails
+        if drift[i] > SWEEP_CONVERGENCE_TOL:
             raise ConvergenceError(
-                f"lowest {n_levels} levels not converged at xi={xi:g}: "
-                f"cutoff {cutoff} vs {cutoff + 10} differ by {drift:.3e}"
+                f"lowest {n_levels} levels not converged at xi={xi_grid[todo[i]]:g}: "
+                f"cutoff {cutoff} vs {cutoff + 10} differ by {drift[i]:.3e}"
             )
     return SpectrumSweep(xi_grid, all_ex, all_par)
 

@@ -95,11 +95,16 @@ def run_qpe(spec: QpeSpec) -> np.ndarray:
 
 
 def outcome_digits(outcome: int, d: int, t: int) -> str:
-    """Base-d digit string of a readout, most significant digit first."""
+    """Base-d digit string of a readout, most significant digit first.
+
+    Above d = 10 each digit is written in decimal, zero-padded to the width of
+    ``d - 1``, so that every readout has a distinct string of the same length.
+    """
+    width = len(str(d - 1))
     digits = []
     for _ in range(t):
         outcome, r = divmod(outcome, d)
-        digits.append(str(r))
+        digits.append(str(r).zfill(width))
     return "".join(reversed(digits))
 
 

@@ -3,8 +3,9 @@
 Each computes what a run path computes, the slow and obvious way, at small
 sizes: ``qpe_circuit`` for ``run_qpe``, ``sbm_projector`` for
 ``map_hamiltonian``, ``parity_split`` for ``kerrcat._parity_blocks``,
-``perfect_matching_count`` for ``hafnian`` on 0/1 graphs, and
-``franck_condon_factor`` for ``fcf_table``.
+``labelled_levels`` for the levels of ``excitation_sweep`` and for its
+``cutoff + 10`` convergence rule, ``perfect_matching_count`` for ``hafnian``
+on 0/1 graphs, and ``franck_condon_factor`` for ``fcf_table``.
 """
 
 import math
@@ -12,9 +13,18 @@ from functools import reduce
 
 import numpy as np
 
-from qumodelab import ContractViolation, FockIndex, Operator, QpeSpec, QumodeRegister, flat_index
+from qumodelab import (
+    ContractViolation,
+    FockIndex,
+    KerrCatParams,
+    Operator,
+    QpeSpec,
+    QumodeRegister,
+    flat_index,
+)
 from qumodelab.fock import _single_mode_annihilation
 from qumodelab.graphs import MAX_MATCHING_SIZE, _as_symmetric
+from qumodelab.kerrcat import _bands, _merged_levels, _parity_blocks, _roundoff
 from qumodelab.sbm import _check_mapping_args
 
 PARITY_TOL = 1e-9
@@ -92,6 +102,14 @@ def parity_split(H: Operator) -> tuple[Operator, Operator]:
         Operator(even_block, QumodeRegister((len(even),))),
         Operator(odd_block, QumodeRegister((len(odd),))),
     )
+
+
+def labelled_levels(K: float, xi: float, cutoff: int, n_levels: int):
+    """The lowest ``n_levels`` energies of both whole parity blocks, merged, with labels."""
+    p = KerrCatParams(xi=xi, K=K, cutoff=cutoff)
+    even, odd = (np.linalg.eigvalsh(block) for block in _parity_blocks(p))
+    (roundoff,) = _roundoff(*_bands(K, [xi], cutoff))
+    return _merged_levels(even, odd, roundoff, n_levels)
 
 
 def _pairings(items: tuple[int, ...]):

@@ -227,6 +227,10 @@ BAD_PARAMS = [
     ("qpe", {"phase": 10**400}, errors("params.phase")),
     ("kerrcat-sweep", {"K": -(10**400)}, errors("params.K")),
     ("vibronic", {"alpha1": [0.0, 10**400]}, errors("params.alpha1")),
+    # an int too large for numpy's int64 sampler
+    ("qpe", {"shots": 10**30}, errors("params.shots")),
+    # numpy refuses a 711 PiB array before it touches memory
+    ("sbm-evolve", {"times": {"start": 0.0, "stop": 1.0, "num": 10**17}}, errors("params.times")),
 ]
 
 BAD_TOP_LEVEL = [
@@ -437,6 +441,33 @@ def test_qpe_output_structure(in_tmp):
     assert out["phase_estimate"] == pytest.approx(4.0 / 9.0, abs=1e-12)
     assert abs(sum(out["distribution"]) - 1.0) < 1e-9
     assert sum(out["histogram"].values()) == out["shots"]
+
+
+def test_qpe_histogram_keeps_every_shot_above_ten_levels(in_tmp, tmp_path):
+    # Digits 10 and 11 take two characters: unpadded, the readouts (1, 10)
+    # and (11, 0) would both read "110" and share one histogram key.
+    cfg = {
+        "experiment": "qpe",
+        "params": {"d": 12, "t": 2, "phase": 0.3, "shots": 100000},
+        "output": "qpe.json",
+        "seed": 3,
+    }
+    assert cli.run(write_config(tmp_path, cfg)) == 0
+    histogram = json.loads(open("qpe.json").read())["histogram"]
+    assert sum(histogram.values()) == 100000
+    assert {len(key) for key in histogram} == {4}
+
+
+def test_out_of_memory_run_exits_2(in_tmp, tmp_path, capsys, monkeypatch):
+    def too_large(*args):
+        raise MemoryError("Unable to allocate 8.00 GiB for an array")
+
+    monkeypatch.setattr(cli, "excitation_sweep", too_large)
+    path = write_config(tmp_path, {"experiment": "kerrcat-sweep",
+                                   "params": VALID_PARAMS["kerrcat-sweep"], "output": "out.csv"})
+    assert cli.run(path) == 2
+    assert capsys.readouterr().err == "error: memory: Unable to allocate 8.00 GiB for an array\n"
+    assert not (in_tmp / "out.csv").exists()
 
 
 def test_hafnian_output(in_tmp):

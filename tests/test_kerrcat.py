@@ -25,7 +25,7 @@ from qumodelab import (
 )
 from qumodelab import cli, kerrcat
 
-from oracles import parity_split
+from oracles import labelled_levels, parity_split
 
 
 def eig(H):
@@ -149,8 +149,8 @@ def sweep_oracle(K, grid, cutoff, n_levels):
     """excitation_sweep with every grid point solved again at cutoff + 10."""
     ex, par = [], []
     for xi in grid:
-        levels, labels = kerrcat._labelled_levels(K, xi, cutoff, n_levels)
-        check, _ = kerrcat._labelled_levels(K, xi, cutoff + 10, n_levels)
+        levels, labels = labelled_levels(K, xi, cutoff, n_levels)
+        check, _ = labelled_levels(K, xi, cutoff + 10, n_levels)
         drift = np.abs((levels - levels[0]) - (check - check[0])).max()
         if drift > kerrcat.SWEEP_CONVERGENCE_TOL:
             raise ConvergenceError(
@@ -203,6 +203,15 @@ def test_sweep_equals_solving_every_point_again_past_32_rows(K, n_levels):
      (1.0, [1e300], 20), (1e150, [0.0, 1.0], 30), (1e-300, [1.0, 1e300], 30)],
 )
 def test_sweep_equals_solving_every_point_again_at_extremes(K, grid, cutoff):
+    args = (K, grid, cutoff, 4)
+    assert sweep_outcome(excitation_sweep, *args) == sweep_outcome(sweep_oracle, *args)
+
+
+@pytest.mark.parametrize("K, grid, cutoff", [(1e3, np.linspace(15.0, 17.5, 11), 60), (2e3, [18.1], 64)])
+def test_sweep_equals_solving_every_point_again_at_coarse_roundoff(K, grid, cutoff):
+    # Here 64 roundoff exceeds tol/2: the re-solve must not accept a leading
+    # block at that round-off, or its 32 rows, shared with the cutoff block,
+    # stand in for the cutoff + 10 block and change the drift.
     args = (K, grid, cutoff, 4)
     assert sweep_outcome(excitation_sweep, *args) == sweep_outcome(sweep_oracle, *args)
 

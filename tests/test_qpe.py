@@ -211,7 +211,21 @@ def test_phase_property():
 def test_outcome_helpers():
     assert outcome_digits(5, d=2, t=3) == "101"
     assert outcome_digits(4, d=3, t=2) == "11"
+    assert outcome_digits(22, d=12, t=2) == "0110"  # digits (1, 10)
+    assert outcome_digits(132, d=12, t=2) == "1100"  # digits (11, 0)
     assert phase_from_outcome(3, d=2, t=3) == pytest.approx(0.375)
+
+
+@pytest.mark.parametrize("d", [2, 3, 10, 11, 12, 64])
+def test_outcome_strings_are_distinct_and_equally_long(d):
+    # Every register size the CLI accepts (d^(t+1) <= 4096); above d = 10 a
+    # digit takes more than one character.
+    for t in range(1, 12):
+        if d ** (t + 1) > 4096:
+            break
+        strings = {outcome_digits(x, d, t) for x in range(d**t)}
+        assert len(strings) == d**t
+        assert {len(s) for s in strings} == {t * len(str(d - 1))}
 
 
 # ---------------------------------------------------------------------------
