@@ -315,6 +315,12 @@ def _rules(experiment: str, given: dict, values: dict):
             yield _err("params.dos_output", "give dos_output together with dos_xi, or neither")
         if values.get("dos_xi") is not None and values["K"] <= 0:
             yield _err("params.K", "the DOS window [0, dos_span * K * dos_xi^2] needs K > 0")
+        elif values.get("dos_xi") is not None:
+            top = math.inf  # the runner names a window that overflows
+            with suppress(OverflowError):  # as metapotential_dos computes it
+                top = values["dos_span"] * values["K"] * values["dos_xi"] ** 2
+            if not top >= sys.float_info.min:
+                yield _err("params.dos_xi", "the DOS window top dos_span * K * dos_xi^2 underflows")
     if experiment == "hafnian" and ("edges" in given) == ("edges_file" in given):
         yield _err("params.edges", "give exactly one of edges or edges_file")
     if experiment == "qpe" and "d" in values and "t" in values:

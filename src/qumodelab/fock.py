@@ -39,7 +39,6 @@ __all__ = [
     "flat_index",
     "basis_state",
     "identity",
-    "embed_single_mode",
     "annihilation",
     "creation",
     "number",
@@ -248,20 +247,10 @@ def _lift(reg: QumodeRegister, factors: dict[int, np.ndarray]) -> np.ndarray:
     return full
 
 
-def embed_single_mode(matrix: np.ndarray, reg: QumodeRegister, mode: int) -> Operator:
-    """Lift a ``d_mode x d_mode`` matrix to the full register by tensoring
-    identities on the remaining modes."""
-    d = reg.cutoffs[reg.check_mode(mode)]
-    matrix = np.asarray(matrix, dtype=complex)
-    if matrix.shape != (d, d):
-        raise ValueError(f"matrix shape {matrix.shape} does not match cutoff {d}")
-    return Operator(_lift(reg, {mode: matrix}), reg)
-
-
 def annihilation(reg: QumodeRegister, mode: int) -> Operator:
     """Lowering operator ``a`` on the selected mode: <n-1|a|n> = sqrt(n)."""
-    j = reg.check_mode(mode)
-    return embed_single_mode(_single_mode_annihilation(reg.cutoffs[j]), reg, mode)
+    a = _single_mode_annihilation(reg.cutoffs[reg.check_mode(mode)])
+    return Operator(_lift(reg, {mode: a.astype(complex)}), reg)
 
 
 def creation(reg: QumodeRegister, mode: int) -> Operator:

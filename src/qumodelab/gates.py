@@ -36,8 +36,6 @@ from .fock import (
     StateVector,
     _lift,
     _single_mode_annihilation,
-    embed_single_mode,
-    identity,
 )
 
 __all__ = [
@@ -134,13 +132,7 @@ def _single_mode_unitary(kind: str, param: complex, d: int) -> np.ndarray:
 
 def gate_matrix(gate: GateSpec, reg: QumodeRegister) -> Operator:
     """Unitary matrix of a gate on the full register basis."""
-    if gate.kind in _SINGLE_MODE_KINDS:
-        (mode,) = gate.modes
-        j = reg.check_mode(mode)
-        U = _single_mode_unitary(gate.kind, gate.params[0], reg.cutoffs[j])
-        return embed_single_mode(U, reg, mode)
-    theta, phi = gate.params
-    return beamsplitter_action(theta.real, phi.real, reg, gate.modes)
+    return compose_circuit([gate], reg)
 
 
 def beamsplitter_action(
@@ -160,26 +152,32 @@ def beamsplitter_action(
     return Operator(_expm_antihermitian(theta * (hop - hop.conj().T)), reg)
 
 
+def _apply(gate: GateSpec, reg: QumodeRegister, T: np.ndarray) -> np.ndarray:
+    """The gate applied to ``T``, a C-contiguous (reg.dim, batch) array; a
+    single-mode gate on mode j multiplies axis 1 of the (prod(cutoffs[:j]),
+    d_j, rest) view of ``T``, at D^2 d_j flops rather than D^3."""
+    if gate.kind == "beamsplitter":
+        theta, phi = gate.params
+        return beamsplitter_action(theta.real, phi.real, reg, gate.modes).entries @ T
+    j = reg.check_mode(gate.modes[0])
+    U = _single_mode_unitary(gate.kind, gate.params[0], reg.cutoffs[j])
+    return (U @ T.reshape(math.prod(reg.cutoffs[:j]), reg.cutoffs[j], -1)).reshape(T.shape)
+
+
 def compose_circuit(gates: list[GateSpec], reg: QumodeRegister) -> Operator:
     """Product of gate matrices, applied left to right in time: the first
     gate in the list is the rightmost factor of the matrix product; no gates
     give the identity."""
-    if not gates:
-        return identity(reg)
-    U = gate_matrix(gates[0], reg)
-    for gate in gates[1:]:
-        U = gate_matrix(gate, reg) @ U
-    return U
+    U = np.eye(reg.dim, dtype=complex)
+    for gate in gates:
+        U = _apply(gate, reg, U)
+    return Operator(U, reg)
 
 
-def top_level_population(psi: StateVector, levels: int = 2) -> np.ndarray:
-    """Per-mode probability found in the top ``levels`` Fock levels."""
-    reg = psi.register
-    out = np.empty(reg.nmodes)
-    for mode in range(1, reg.nmodes + 1):
-        pops = psi.mode_populations(mode)
-        out[mode - 1] = pops[max(0, len(pops) - levels) :].sum()
-    return out
+def top_level_population(psi: StateVector) -> np.ndarray:
+    """Per-mode probability found in the top two Fock levels."""
+    modes = range(1, psi.register.nmodes + 1)
+    return np.array([psi.mode_populations(mode)[-2:].sum() for mode in modes])
 
 
 def apply_circuit(

@@ -257,10 +257,8 @@ def excitation_sweep(
     naming the offending xi. A Sturm count on the ``cutoff + 10`` parity
     blocks clears most points without solving them: when it proves that no
     level moves by more than half the tolerance, no excitation can move by
-    more than the tolerance. The other points are solved again at
-    ``cutoff + 10`` by the same certified solver, stacked over the grid, with
-    its round-off capped at ``tol / 2**16``: a leading block then stands in for
-    the whole only within ``tol / 1024``, never for the cutoff block itself.
+    more than the tolerance. The other points are solved again on their whole
+    ``cutoff + 10`` parity blocks, stacked over the grid.
     """
     xi_grid = np.atleast_1d(np.asarray(xi_grid, dtype=float))
     if _integer(n_levels, "n_levels") < 1:
@@ -289,9 +287,9 @@ def excitation_sweep(
     below = sum(_count_below(diagonal[s::2], drive[:, s::2], x) for s in (0, 1))
     todo = np.flatnonzero((below > np.arange(n_levels)).any(axis=1))
     if len(todo):
-        roundoff = np.minimum(_roundoff(diagonal, drive[todo]), SWEEP_CONVERGENCE_TOL / 2**16)
+        # Asked for every level, _lowest_eigenvalues solves the whole blocks; roundoff is unused.
         check = np.sort(np.hstack([
-            _lowest_eigenvalues(diagonal[s::2], drive[todo, s::2], roundoff, n_levels) for s in (0, 1)
+            _lowest_eigenvalues(diagonal[s::2], drive[todo, s::2], None, cutoff + 10) for s in (0, 1)
         ]))[:, :n_levels]
         drift = np.abs(all_ex[todo] - (check - check[:, :1])).max(axis=1)
         i = np.argmax(drift > SWEEP_CONVERGENCE_TOL)  # the first point in grid order that fails
@@ -341,6 +339,8 @@ def _histogram(evals: np.ndarray, bins: int, window: tuple[float, float]) -> Spe
     if _integer(bins, "bins") < MIN_DOS_BINS:
         raise ValueError(f"at least {MIN_DOS_BINS} bins are required, got {bins}")
     lo, hi = window
+    if not lo < hi:
+        raise ValueError(f"the energy window needs lo < hi, got [{lo:g}, {hi:g}]")
     kept = evals[(evals >= lo) & (evals <= hi)]
     if len(kept) == 0:
         raise ValueError("no eigenvalues inside the requested energy range")
@@ -369,7 +369,7 @@ def metapotential_dos(p: KerrCatParams, bins: int = MIN_DOS_BINS, span: float = 
     if not 0 < span < math.inf:
         raise ValueError(f"span must be finite and > 0, got {span!r}")
     try:
-        top = span * p.K * p.xi**2
+        top = float(span * p.K * p.xi**2)
     except OverflowError:
         top = math.inf
     if math.isinf(top):

@@ -94,12 +94,18 @@ def run_qpe(spec: QpeSpec) -> np.ndarray:
     return (np.abs(final) ** 2).sum(axis=1)
 
 
+def _check_outcome(outcome: int, d: int, t: int) -> None:
+    if not 0 <= _integer(outcome, "outcome") < d**t:
+        raise ValueError(f"outcome {outcome} outside 0..{d**t - 1}")
+
+
 def outcome_digits(outcome: int, d: int, t: int) -> str:
     """Base-d digit string of a readout, most significant digit first.
 
     Above d = 10 each digit is written in decimal, zero-padded to the width of
     ``d - 1``, so that every readout has a distinct string of the same length.
     """
+    _check_outcome(outcome, d, t)
     width = len(str(d - 1))
     digits = []
     for _ in range(t):
@@ -110,6 +116,7 @@ def outcome_digits(outcome: int, d: int, t: int) -> str:
 
 def phase_from_outcome(outcome: int, d: int, t: int) -> float:
     """Phase estimate encoded by a readout: outcome / d^t."""
+    _check_outcome(outcome, d, t)
     return outcome / d**t
 
 

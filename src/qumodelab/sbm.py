@@ -157,8 +157,8 @@ def computational_block(op: Operator, k: int) -> np.ndarray:
     """The upper-left k x k block of a single-mode operator."""
     if op.register.nmodes != 1:
         raise ValueError("restriction is defined for single-mode operators")
-    if k > op.register.cutoffs[0]:
-        raise ValueError("block size exceeds the cutoff")
+    if not 1 <= _integer(k, "block size") <= op.register.cutoffs[0]:
+        raise ValueError(f"block size {k} outside 1..{op.register.cutoffs[0]}")
     return np.array(op.entries[:k, :k])
 
 

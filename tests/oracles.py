@@ -5,7 +5,8 @@ sizes: ``qpe_circuit`` for ``run_qpe``, ``sbm_projector`` for
 ``map_hamiltonian``, ``parity_split`` for ``kerrcat._parity_blocks``,
 ``labelled_levels`` for the levels of ``excitation_sweep`` and for its
 ``cutoff + 10`` convergence rule, ``perfect_matching_count`` for ``hafnian``
-on 0/1 graphs, and ``franck_condon_factor`` for ``fcf_table``.
+on 0/1 graphs, ``franck_condon_factor`` for ``fcf_table``, and ``lifted_gate``
+for ``gate_matrix`` of a single-mode gate.
 """
 
 import math
@@ -16,6 +17,7 @@ import numpy as np
 from qumodelab import (
     ContractViolation,
     FockIndex,
+    GateSpec,
     KerrCatParams,
     Operator,
     QpeSpec,
@@ -23,6 +25,7 @@ from qumodelab import (
     flat_index,
 )
 from qumodelab.fock import _single_mode_annihilation
+from qumodelab.gates import _single_mode_unitary
 from qumodelab.graphs import MAX_MATCHING_SIZE, _as_symmetric
 from qumodelab.kerrcat import _bands, _merged_levels, _parity_blocks, _roundoff
 from qumodelab.sbm import _check_mapping_args
@@ -147,3 +150,12 @@ def franck_condon_factor(U: Operator, initial: FockIndex, final: FockIndex) -> f
     """``|<initial| U |final>|^2`` for two-mode occupation labels."""
     row, col = flat_index(initial, U.register), flat_index(final, U.register)
     return float(abs(U.entries[row, col]) ** 2)
+
+
+def lifted_gate(gate: GateSpec, reg: QumodeRegister) -> np.ndarray:
+    """A single-mode gate on the register: the Kronecker product of its
+    ``d_j x d_j`` unitary with identities on the other modes."""
+    (mode,) = gate.modes
+    j = reg.check_mode(mode)
+    U = _single_mode_unitary(gate.kind, gate.params[0], reg.cutoffs[j])
+    return reduce(np.kron, [U if k == j else np.eye(d) for k, d in enumerate(reg.cutoffs)])

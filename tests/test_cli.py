@@ -599,6 +599,11 @@ def test_extreme_values_are_refused_or_finite(in_tmp, capsys, experiment, field,
         outputs = [output] + (["dos.csv"] if experiment == "kerrcat-sweep" else [])
         for out in outputs:
             assert all(math.isfinite(x) for x in _numbers(out)), out
+    if rc == 0 and experiment == "kerrcat-sweep":
+        p = {"K": 1.0, "dos_span": 6.0, **cfg["params"]}
+        top = p["dos_span"] * p["K"] * p["dos_xi"] * p["dos_xi"]
+        centers = [float(line.split(",")[0]) for line in Path("dos.csv").read_text().splitlines()[1:]]
+        assert all(0 <= c <= top for c in centers), (top, centers)
 
 
 def test_overflowing_dos_window_is_named(in_tmp, capsys):
@@ -609,3 +614,21 @@ def test_overflowing_dos_window_is_named(in_tmp, capsys):
         "error: numerical: the metapotential window [0, span K xi^2] overflows at "
         "span=6, K=1, xi=1e+300\n"
     )
+
+
+@pytest.mark.parametrize("dos_xi", [1e-300, 1e-162, 1e-155])
+def test_underflowing_dos_window_is_refused_at_dos_xi(in_tmp, dos_xi):
+    params = dict(SMALL_PARAMS["kerrcat-sweep"], dos_xi=dos_xi)
+    path = write_config(in_tmp, {"experiment": "kerrcat-sweep", "params": params, "output": "out.csv"})
+    assert [(d.field, d.message) for d in cli.validate(path)] == [
+        ("params.dos_xi", "the DOS window top dos_span * K * dos_xi^2 underflows")
+    ]
+    assert cli.run(path) == 1
+    assert not Path("out.csv").exists()
+
+
+def test_integer_dos_window_beyond_int64_runs_as_a_float_window(in_tmp):
+    params = dict(SMALL_PARAMS["kerrcat-sweep"], K=1, dos_xi=10**100, dos_span=6)
+    path = write_config(in_tmp, {"experiment": "kerrcat-sweep", "params": params, "output": "out.csv"})
+    assert cli.run(path) == 0
+    assert all(0 <= x <= 6e200 for x in _numbers("dos.csv")[::2])

@@ -18,6 +18,8 @@ from qumodelab import (
     top_level_population,
 )
 
+from oracles import lifted_gate
+
 
 def unitarity_defect(U, keep=None):
     G = U.conj().T @ U - np.eye(U.shape[0])
@@ -248,3 +250,46 @@ def test_beamsplitter_matches_full_register_generator(cutoffs, modes):
     U = beamsplitter_action(theta, phi, reg, modes).entries
     assert U.dtype == np.complex128
     assert np.abs(U - oracle).max() < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# mode indexing on a register of unequal cutoffs
+# ---------------------------------------------------------------------------
+
+UNEQUAL = QumodeRegister((2, 3, 4))
+SINGLE_MODE_GATES = (
+    lambda m: displacement(m, 0.3 - 0.2j),
+    lambda m: rotation(m, 0.7),
+    lambda m: squeezing(m, 0.25 + 0.1j),
+)
+
+
+@pytest.mark.parametrize("mode", [1, 2, 3])
+@pytest.mark.parametrize("make", SINGLE_MODE_GATES, ids=["displacement", "rotation", "squeezing"])
+def test_single_mode_gate_acts_on_its_own_mode(make, mode):
+    # A product with the identity adds only exact zeros to each entry.
+    gate = make(mode)
+    assert np.array_equal(gate_matrix(gate, UNEQUAL).entries, lifted_gate(gate, UNEQUAL))
+
+
+def test_gate_chain_on_unequal_cutoffs_matches_lifted_product():
+    gates = [
+        squeezing(2, 0.2),
+        beamsplitter(1, 3, 0.6, 0.4),
+        displacement(3, 0.3 + 0.1j),
+        rotation(1, 1.1),
+        beamsplitter(2, 3, 0.5, -0.2),
+        displacement(2, -0.2j),
+    ]
+    expected = np.eye(UNEQUAL.dim)
+    for gate in gates:
+        if gate.kind == "beamsplitter":
+            theta, phi = gate.params
+            U = beamsplitter_action(theta.real, phi.real, UNEQUAL, gate.modes).entries
+        else:
+            U = lifted_gate(gate, UNEQUAL)
+        expected = U @ expected
+    assert np.abs(compose_circuit(gates, UNEQUAL).entries - expected).max() < 1e-13
+    psi = basis_state(UNEQUAL, (1, 2, 1))
+    out, _ = apply_circuit(gates, UNEQUAL, psi, warn_threshold=1.0)
+    assert np.abs(out.amplitudes - expected @ psi.amplitudes).max() < 1e-13

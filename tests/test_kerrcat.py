@@ -333,6 +333,15 @@ def test_dos_refuses_an_empty_energy_range():
         density_of_states(H, bins=10, energy_range=(-100.0, -50.0))
 
 
+def test_dos_refuses_a_window_of_zero_width():
+    # The window top span K xi^2 underflows to 0 at a tiny drive.
+    with pytest.raises(ValueError, match="needs lo < hi"):
+        metapotential_dos(KerrCatParams(xi=1e-200, cutoff=30))
+    H = kerrcat_hamiltonian(KerrCatParams(xi=2.0, K=1.0, cutoff=60))
+    with pytest.raises(ValueError, match="needs lo < hi"):
+        density_of_states(H, bins=10, energy_range=(0.0, 0.0))
+
+
 def test_dos_zero_drive_supported_on_number_values():
     H = kerrcat_hamiltonian(KerrCatParams(xi=0.0, K=1.0, cutoff=40))
     dos = density_of_states(H, bins=30)

@@ -216,6 +216,20 @@ def test_outcome_helpers():
     assert phase_from_outcome(3, d=2, t=3) == pytest.approx(0.375)
 
 
+def test_outcome_digits_refuses_a_readout_outside_the_register():
+    assert outcome_digits(7, d=2, t=3) == "111"
+    for outcome in (-1, 8, 100):
+        with pytest.raises(ValueError, match=r"outside 0\.\.7"):
+            outcome_digits(outcome, d=2, t=3)
+
+
+def test_phase_from_outcome_refuses_a_readout_outside_the_register():
+    assert phase_from_outcome(7, d=2, t=3) == 0.875
+    for outcome in (-1, 8, 9):
+        with pytest.raises(ValueError, match=r"outside 0\.\.7"):
+            phase_from_outcome(outcome, d=2, t=3)
+
+
 @pytest.mark.parametrize("d", [2, 3, 10, 11, 12, 64])
 def test_outcome_strings_are_distinct_and_equally_long(d):
     # Every register size the CLI accepts (d^(t+1) <= 4096); above d = 10 a

@@ -346,3 +346,11 @@ def test_hermiticity_tolerances_stay_distinct():
     assert abs(evolve(Operator(skewed(5e-10), reg), 0.3, psi).norm - 1.0) < 1e-9
     with pytest.raises(ContractViolation, match="not Hermitian"):
         evolve(Operator(skewed(2e-9), reg), 0.3, psi)
+
+
+@pytest.mark.parametrize("k", [-2, 0, 6])
+def test_computational_block_refuses_sizes_outside_the_cutoff(k):
+    op = Operator(np.arange(25.0).reshape(5, 5), QumodeRegister((5,)))
+    assert computational_block(op, 5).shape == (5, 5)
+    with pytest.raises(ValueError, match=r"block size .* outside 1\.\.5"):
+        computational_block(op, k)
