@@ -12,9 +12,9 @@ endings, 12 significant digits) or JSON, byte-stable across reruns for a
 fixed config and seed.
 
 Each parameter is declared once, in its experiment's table (``_VIBRONIC``,
-``_SBM``, ...): type, allowed range, default or required, and the library
-constructor that builds it. Validation and the runners read the same table,
-so each default lives there and nowhere else.
+``_SBM``, ...): JSON type, default or required, the library check that the
+run also makes, and the builder of the runner's input. Validation and the
+runners read the same table, so each default lives there and nowhere else.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError
+from . import kerrcat, qpe, sbm, vibronic  # their private checks own the parameter ranges
+from .errors import ConvergenceError, ParamError
 from .fock import Operator, QumodeRegister, StateVector, basis_state, flat_index
 from .gates import top_level_population
 from .graphs import MAX_HAFNIAN_SIZE, _read_edges, adjacency_from_edges, hafnian
@@ -43,13 +44,7 @@ from .kerrcat import (
     excitation_sweep,
     metapotential_dos,
 )
-from .qpe import (
-    QpeSpec,
-    outcome_digits,
-    phase_from_outcome,
-    run_qpe,
-    sample_readout,
-)
+from .qpe import QpeSpec, outcome_digits, phase_from_outcome, run_qpe, sample_readout
 from .sbm import (
     DenseHamiltonian,
     _evolve_block,
@@ -112,28 +107,29 @@ def _is_times(x) -> bool:
 
 
 # JSON types, as (description, test). A "number" may be non-finite: the
-# library constructor that reads the field refuses it. An int too large for a
+# library check that reads the field refuses it. An int too large for a
 # float is not a number, since converting it raises OverflowError.
 _INT = ("an integer", _is_int)
 _REAL = ("a number", lambda x: isinstance(x, float) or _is_int(x) and abs(x) <= sys.float_info.max)
 _NUMBER = ("a finite number", _is_number)
-_POSITIVE = ("a positive number", lambda x: _is_number(x) and x > 0)
 _PATH = ("a non-empty path", lambda x: isinstance(x, str) and x != "")
 _NUMBERS = ("a non-empty list of numbers", lambda x: _is_list(x, _is_number) and len(x) > 0)
 
 
 class _Field(NamedTuple):
-    """One parameter: JSON type, bounds, default (``...``: required), builder.
+    """One parameter: JSON type, default (``...``: required), bounds, check, builder.
 
-    ``lo``/``hi`` bound each number of the value, inclusive; they and the
-    default may be functions of the fields before this one. ``make(value,
-    values)`` builds the runner's input, mostly with a library constructor.
+    ``lo``/``hi`` bound the value, inclusive; they and the default may be
+    functions of the fields before this one. ``check(value, values)`` calls the
+    library check that owns the value's range; ``make(value, values)`` builds
+    the runner's input, mostly with a library constructor.
     """
 
     kind: tuple[str, Callable]
     default: object = ...
     lo: object = None
     hi: object = None
+    check: Callable = lambda x, values: None
     make: Callable = lambda x, values: x
 
 
@@ -143,7 +139,8 @@ def _fill(table: dict[str, _Field], given: dict, prefix: str, diags: list[Diagno
     A field that fails its type, its bounds or its builder (by ValueError, or
     by MemoryError when it is too large to build) is reported once and takes
     its default, if any. Otherwise it is left out, and every later bound,
-    default or builder that reads it is skipped.
+    default, check or builder that reads it is skipped. A :class:`ParamError`
+    that names an earlier field is reported at that field, which is left out.
     """
     diags.extend(_err(prefix + key, "unknown key") for key in sorted(set(given) - set(table)))
     values: dict = {}
@@ -152,24 +149,24 @@ def _fill(table: dict[str, _Field], given: dict, prefix: str, diags: list[Diagno
         with suppress(KeyError):
             return spec(values) if callable(spec) else spec
 
-    for name, ((text, test), default, lo, hi, make) in table.items():
+    for name, ((text, test), default, lo, hi, check, make) in table.items():
         lo, hi = at(lo), at(hi)
         text += f" in {lo}..{hi}" if hi is not None else "" if lo is None else f" >= {lo}"
         try:
             if name in given:
                 x = given[name]
-                xs = x if isinstance(x, list) else [x]
-                if not test(x) or any(
-                    lo is not None and e < lo or hi is not None and e > hi for e in xs
-                ):
+                if not test(x) or lo is not None and x < lo or hi is not None and x > hi:
                     raise ValueError("must be " + text)
+                check(x, values)
                 values[name] = make(x, values)
                 continue
             if default is ...:
                 raise ValueError("required: " + text)
         except (ValueError, MemoryError) as exc:
-            diags.append(_err(prefix + name, str(exc)))
-        except KeyError:  # the builder reads a field that failed
+            failed = exc.name if isinstance(exc, ParamError) and exc.name in table else name
+            diags.append(_err(prefix + failed, str(exc)))
+            values.pop(failed, None)
+        except KeyError:  # the check or builder reads a field that failed
             continue
         if default is not ...:
             values[name] = at(default)
@@ -180,20 +177,21 @@ def _doktorov(name: str) -> Callable:
     return lambda x, v: getattr(DoktorovSpec(**{name: _pair_to_complex(x)}), name)
 
 
-def _below_cutoff(v) -> int:
-    return v["cutoff"] - 1
-
-
 _COMPLEX = ("a number or [re, im] pair", lambda x: _REAL[1](x) or _is_list(x, _REAL[1], 2))
 _INT_PAIR = ("two integers", lambda x: _is_list(x, _is_int, 2))
+_REAL_PAIR = ("two numbers", lambda x: _is_list(x, _REAL[1], 2))
 
 _VIBRONIC = {
     **{n: _Field(_COMPLEX, 0.0, make=_doktorov(n)) for n in ("alpha1", "alpha2", "z1", "z2")},
     **{n: _Field(_REAL, 0.0, make=_doktorov(n)) for n in ("theta_bs", "phi_bs")},
     "cutoff": _Field(_INT, 16, lo=2),
-    "initial": _Field(_INT_PAIR, [0, 0], lo=0, hi=_below_cutoff),
-    "maxq": _Field(_INT, _below_cutoff, lo=0, hi=_below_cutoff),
-    "freqs": _Field(("two positive numbers", lambda x: _is_list(x, _POSITIVE[1], 2))),
+    "initial": _Field(
+        _INT_PAIR, [0, 0], check=lambda x, v: flat_index(x, QumodeRegister((v["cutoff"],) * 2))
+    ),
+    "maxq": _Field(
+        _INT, lambda v: v["cutoff"] - 1, check=lambda x, v: vibronic._check_maxq(x, v["cutoff"])
+    ),
+    "freqs": _Field(_REAL_PAIR, check=lambda x, v: vibronic._mode_freqs(x)),
     "e00": _Field(_NUMBER, 0.0),
     "note": _Field(("a string", lambda x: isinstance(x, str)), None),
 }
@@ -203,10 +201,6 @@ def _hamiltonian(x, v) -> DenseHamiltonian:
     if x == "fmo4":
         return fmo_hamiltonian()
     return DenseHamiltonian(np.array(x, dtype=float), units=v["units"])
-
-
-def _sbm_min_cutoff(v) -> int:
-    return 2 * v["hamiltonian"].k - 1  # the mapped polynomial reaches level 2(k - 1)
 
 
 def _initial_state(x, v) -> np.ndarray:
@@ -242,30 +236,42 @@ _UNITS = ("1/cm", "dimensionless")
 _SBM = {
     "units": _Field(("'1/cm' or 'dimensionless'", lambda x: x in _UNITS), "dimensionless"),
     "hamiltonian": _Field(_MODEL, make=_hamiltonian),
-    "cutoff": _Field(_INT, _sbm_min_cutoff, lo=_sbm_min_cutoff),
+    "cutoff": _Field(  # by default the 2k - 1 levels that the mapping needs
+        _INT,
+        lambda v: 2 * v["hamiltonian"].k - 1,
+        check=lambda x, v: sbm._check_mapping_args(v["hamiltonian"].k, x),
+    ),
     "initial": _Field(_SITE_OR_AMPLITUDES, make=_initial_state),
     "times": _Field(_TIMES, make=_times),
 }
 
+
+# A check reads the fields above it: the grid's reads K and the sizes, the DOS
+# drive's reads K and the span. A DOS window that overflows is left to the
+# run, which names it (exit 2).
 _KERRCAT = {
-    "K": _Field(_REAL, 1.0, make=lambda x, v: KerrCatParams(xi=0.0, K=x).K),
-    "xi_grid": _Field(_NUMBERS, lo=0),
-    "cutoff": _Field(_INT, make=lambda x, v: KerrCatParams(xi=0.0, cutoff=x).cutoff),
-    "n_levels": _Field(_INT, lo=1, hi=lambda v: v["cutoff"]),
-    "dos_xi": _Field(_POSITIVE, None),
-    "dos_bins": _Field(_INT, MIN_DOS_BINS, lo=MIN_DOS_BINS),
-    "dos_span": _Field(_POSITIVE, 6.0),
+    "K": _Field(_REAL, 1.0),
+    "cutoff": _Field(_INT),
+    "n_levels": _Field(_INT),
+    "xi_grid": _Field(
+        _NUMBERS, check=lambda x, v: kerrcat._sweep_grid(v["K"], x, v["cutoff"], v["n_levels"])
+    ),
+    "dos_bins": _Field(_INT, MIN_DOS_BINS, check=lambda x, v: kerrcat._check_bins(x)),
+    "dos_span": _Field(_REAL, 6.0, check=lambda x, v: kerrcat._check_span(x)),
+    "dos_xi": _Field(
+        _REAL, None, check=lambda x, v: kerrcat._dos_window(KerrCatParams(x, v["K"]), v["dos_span"])
+    ),
     "dos_output": _Field(_PATH, None),
 }
 
-# The mass and cutoff builders use a flat potential (k4 = k2 = 0), so each
-# library check is reported against its own field.
 _DOUBLEWELL = {
     "k2": _Field(_NUMBER),
-    "k4": _Field(_NUMBER, make=lambda x, v: DoubleWellParams(k4=x, k2=v["k2"]).k4),
+    "k4": _Field(_NUMBER),
     "k1": _Field(_NUMBER, 0.0),
-    "mass": _Field(_NUMBER, 1.0, make=lambda x, v: DoubleWellParams(0.0, 0.0, mass=x).mass),
-    "cutoff": _Field(_INT, make=lambda x, v: DoubleWellParams(0.0, 0.0, cutoff=x).cutoff),
+    "mass": _Field(_NUMBER, 1.0, check=lambda x, v: kerrcat._check_mass(x)),
+    "cutoff": _Field(
+        _INT, check=lambda x, v: DoubleWellParams(v["k4"], v["k2"], v["k1"], v["mass"], x)
+    ),
     "n_levels": _Field(_INT, lo=1, hi=lambda v: v["cutoff"]),
 }
 
@@ -295,15 +301,16 @@ _HAFNIAN = {
 
 
 _QPE = {
-    "d": _Field(_INT, lo=2),
-    "t": _Field(_INT, lo=1),
+    "d": _Field(_INT),
+    "t": _Field(_INT, check=lambda x, v: qpe._check_register(v["d"], x)),
     "phase": _Field(_NUMBER),
     "shots": _Field(_INT, 0, lo=0, hi=np.iinfo(np.int64).max),
 }
 
 
 def _rules(experiment: str, given: dict, values: dict):
-    """Rules across fields, on the given params and the values that passed."""
+    """Rules on the shape of the given params, the unsorted-grid warning and the
+    QPE register cap."""
     if experiment == "sbm-evolve" and given.get("hamiltonian") == "fmo4" and "units" in given:
         if given["units"] != "1/cm":
             yield _err("params.units", "the fmo4 model is defined in 1/cm")
@@ -313,14 +320,6 @@ def _rules(experiment: str, given: dict, values: dict):
             yield Diagnostic("warning", "params.xi_grid", "grid is not sorted ascending")
         if ("dos_xi" in given) != ("dos_output" in given):
             yield _err("params.dos_output", "give dos_output together with dos_xi, or neither")
-        if values.get("dos_xi") is not None and values["K"] <= 0:
-            yield _err("params.K", "the DOS window [0, dos_span * K * dos_xi^2] needs K > 0")
-        elif values.get("dos_xi") is not None:
-            top = math.inf  # the runner names a window that overflows
-            with suppress(OverflowError):  # as metapotential_dos computes it
-                top = values["dos_span"] * values["K"] * values["dos_xi"] ** 2
-            if not top >= sys.float_info.min:
-                yield _err("params.dos_xi", "the DOS window top dos_span * K * dos_xi^2 underflows")
     if experiment == "hafnian" and ("edges" in given) == ("edges_file" in given):
         yield _err("params.edges", "give exactly one of edges or edges_file")
     if experiment == "qpe" and "d" in values and "t" in values:

@@ -1,9 +1,18 @@
 """Exception types shared across the library.
 
 Plain ``ValueError`` is raised for ordinary domain errors (bad mode index,
-out-of-range occupation, malformed input). The two classes below mark the
-stronger failure modes that callers may want to catch separately.
+malformed input). The classes below mark the cases that callers may want to
+catch separately.
 """
+
+
+class ParamError(ValueError):
+    """A parameter value that a library check refuses; ``name`` is the
+    parameter's name, so that a caller can point at the input it came from."""
+
+    def __init__(self, name: str, message: str) -> None:
+        super().__init__(message)
+        self.name = name
 
 
 class ContractViolation(ValueError):

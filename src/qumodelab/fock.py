@@ -28,10 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, ParamError
 
 __all__ = [
-    "HERMITICITY_TOL",
     "FockIndex",
     "QumodeRegister",
     "StateVector",
@@ -44,26 +43,21 @@ __all__ = [
     "number",
     "quadratures",
     "commutator",
-    "evolve",
 ]
-
-# Max absolute entry of H - H^dag tolerated before a matrix is rejected as
-# non-Hermitian; well above dense round-off at the dimensions used here.
-HERMITICITY_TOL = 1e-9
 
 # Occupation tuples double as Fock indices throughout the library.
 FockIndex = tuple[int, ...]
 
 
 def _integer(value, name: str) -> int:
-    """``value`` as an int; a ``ValueError`` naming ``name`` unless it is a
-    Python or numpy integer (a bool or a float is refused)."""
+    """``value`` as an int; a :class:`ParamError` naming ``name`` unless it is
+    a Python or numpy integer (a bool or a float is refused)."""
     if not isinstance(value, (bool, np.bool_)):
         try:
             return operator.index(value)
         except TypeError:
             pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+    raise ParamError(name, f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -102,13 +96,14 @@ def flat_index(occupations: FockIndex, reg: QumodeRegister) -> int:
     """Flat basis index of ``|n_1, ..., n_N>``; mode 1 is most significant."""
     occs = tuple(_integer(n, "occupation") for n in occupations)
     if len(occs) != reg.nmodes:
-        raise ValueError(
+        raise ParamError(
+            "occupations",
             f"occupation tuple has {len(occs)} entries for {reg.nmodes} modes"
         )
     idx = 0
     for n, d in zip(occs, reg.cutoffs):
         if not 0 <= n < d:
-            raise ValueError(f"occupation {n} out of range for cutoff {d}")
+            raise ParamError("occupations", f"occupation {n} out of range for cutoff {d}")
         idx = idx * d + n
     return idx
 
@@ -296,16 +291,3 @@ def _propagate(H: np.ndarray, psi: np.ndarray, times) -> np.ndarray:
     coeffs = V.conj().T @ psi
     phases = np.exp(-1j * np.outer(times, w))
     return (V @ (phases * coeffs).T).T
-
-
-def evolve(H: Operator, t: float, psi: StateVector) -> StateVector:
-    """Propagate ``psi`` to ``exp(-i H t) psi`` by spectral decomposition.
-
-    ``H`` must be Hermitian within :data:`HERMITICITY_TOL`; the propagation
-    is then exactly norm preserving up to eigensolver round-off. A
-    non-finite ``t`` raises ``ValueError``.
-    """
-    if psi.register != H.register:
-        raise ValueError("state and Hamiltonian live on different registers")
-    _check_hermitian(H.entries, HERMITICITY_TOL)
-    return StateVector(_propagate(H.entries, psi.amplitudes, t)[0], psi.register)

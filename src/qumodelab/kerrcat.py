@@ -25,11 +25,12 @@ doublet; a linear tilt ``k1`` biases the ground state into one well.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, ParamError
 from .fock import Operator, QumodeRegister, _integer, _single_mode_annihilation
 from .spectrum import Spectrum
 
@@ -40,7 +41,6 @@ __all__ = [
     "kerrcat_hamiltonian",
     "excitation_sweep",
     "pair_gaps",
-    "density_of_states",
     "metapotential_dos",
     "esqpt_energy",
     "doublewell_hamiltonian",
@@ -63,11 +63,11 @@ class KerrCatParams:
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.xi) or self.xi < 0:
-            raise ValueError(f"xi must be finite and non-negative, got {self.xi}")
+            raise ParamError("xi", f"xi must be finite and non-negative, got {self.xi}")
         if not math.isfinite(self.K):
-            raise ValueError("K must be finite")
+            raise ParamError("K", "K must be finite")
         if _integer(self.cutoff, "cutoff") < 4:
-            raise ValueError("cutoff must be at least 4")
+            raise ParamError("cutoff", "cutoff must be at least 4")
 
 
 @dataclass(frozen=True)
@@ -83,15 +83,19 @@ class DoubleWellParams:
     def __post_init__(self) -> None:
         for name in ("k4", "k2", "k1", "mass"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+                raise ParamError(name, f"{name} must be finite, got {getattr(self, name)}")
         if self.k4 < 0 or (self.k4 == 0 and self.k2 > 0):
-            raise ValueError(
-                "potential must be bounded below: need k4 > 0, or k4 = 0 with k2 <= 0"
+            raise ParamError(
+                "k4", "potential must be bounded below: need k4 > 0, or k4 = 0 with k2 <= 0"
             )
-        if self.mass <= 0:
-            raise ValueError("mass must be positive")
+        _check_mass(self.mass)
         if _integer(self.cutoff, "cutoff") < 2:
-            raise ValueError("cutoff must be at least 2")
+            raise ParamError("cutoff", "cutoff must be at least 2")
+
+
+def _check_mass(mass: float) -> None:
+    if not mass > 0:
+        raise ParamError("mass", "mass must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,14 +264,7 @@ def excitation_sweep(
     more than the tolerance. The other points are solved again on their whole
     ``cutoff + 10`` parity blocks, stacked over the grid.
     """
-    xi_grid = np.atleast_1d(np.asarray(xi_grid, dtype=float))
-    if _integer(n_levels, "n_levels") < 1:
-        raise ValueError("n_levels must be positive")
-    if n_levels > cutoff:
-        raise ValueError("n_levels cannot exceed the cutoff")
-    for xi in xi_grid:
-        KerrCatParams(xi=xi, K=K, cutoff=cutoff)
-    KerrCatParams(xi=0.0, K=K, cutoff=cutoff + 10)  # on an empty grid too
+    xi_grid = _sweep_grid(K, xi_grid, cutoff, n_levels)
     # The cutoff bands are the leading entries of the cutoff + 10 ones.
     diagonal, drive = _bands(K, xi_grid, cutoff + 10)
     roundoff = _roundoff(diagonal[:cutoff], drive[:, : cutoff - 2])
@@ -301,6 +298,19 @@ def excitation_sweep(
     return SpectrumSweep(xi_grid, all_ex, all_par)
 
 
+def _sweep_grid(K: float, xi_grid, cutoff: int, n_levels: int) -> np.ndarray:
+    """The drive grid of :func:`excitation_sweep` as a float array, once the
+    sweep's arguments are checked."""
+    xi_grid = np.atleast_1d(np.asarray(xi_grid, dtype=float))
+    # The xi rule is an interval, so the grid's extremes decide it (NaN
+    # propagates to both); an empty grid still checks K and the cutoff.
+    for xi in (xi_grid.min(initial=0.0), xi_grid.max(initial=0.0)):
+        KerrCatParams(xi=float(xi), K=K, cutoff=cutoff)
+    if not 1 <= _integer(n_levels, "n_levels") <= cutoff:
+        raise ParamError("n_levels", f"n_levels={n_levels} must be in 1..{cutoff}, the cutoff")
+    return xi_grid
+
+
 def pair_gaps(sweep: SpectrumSweep) -> list[np.ndarray]:
     """Per grid point: (mean pair energy, gap) of consecutive level pairs.
 
@@ -316,39 +326,6 @@ def pair_gaps(sweep: SpectrumSweep) -> list[np.ndarray]:
     return out
 
 
-def density_of_states(
-    H: Operator, bins: int, energy_range: tuple[float, float] | None = None
-) -> Spectrum:
-    """Normalized eigenvalue histogram; weights sum to one.
-
-    By default the histogram covers the lowest 80% of the eigenvalues, which
-    keeps the truncation-polluted top of the spectrum out. Pass
-    ``energy_range`` to histogram a specific window instead (eigenvalues
-    outside it are dropped before normalizing).
-    """
-    evals = np.linalg.eigvalsh(H.entries)
-    if energy_range is None:
-        keep = max(2, int(math.floor(0.8 * len(evals))))
-        evals = evals[:keep]
-        energy_range = (float(evals[0]), float(evals[-1]))
-    return _histogram(evals, bins, energy_range)
-
-
-def _histogram(evals: np.ndarray, bins: int, window: tuple[float, float]) -> Spectrum:
-    """Normalized histogram of the eigenvalues inside ``window``, at bin centers."""
-    if _integer(bins, "bins") < MIN_DOS_BINS:
-        raise ValueError(f"at least {MIN_DOS_BINS} bins are required, got {bins}")
-    lo, hi = window
-    if not lo < hi:
-        raise ValueError(f"the energy window needs lo < hi, got [{lo:g}, {hi:g}]")
-    kept = evals[(evals >= lo) & (evals <= hi)]
-    if len(kept) == 0:
-        raise ValueError("no eigenvalues inside the requested energy range")
-    counts, edges = np.histogram(kept, bins=bins, range=(lo, hi))
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    return Spectrum(centers, counts / counts.sum())
-
-
 def metapotential_dos(p: KerrCatParams, bins: int = MIN_DOS_BINS, span: float = 6.0) -> Spectrum:
     """Excitation-energy DOS over the metapotential region.
 
@@ -360,25 +337,53 @@ def metapotential_dos(p: KerrCatParams, bins: int = MIN_DOS_BINS, span: float = 
     at the barrier energy instead.
 
     The window needs a finite span > 0, xi > 0 and K > 0: it is empty at K = 0,
-    and for K < 0 the spectrum is inverted, its lowest levels at the truncation edge.
+    and for K < 0 the spectrum is inverted, its lowest levels at the truncation
+    edge. A window whose top underflows is refused; one whose top overflows
+    raises ``OverflowError``.
     """
-    if p.xi <= 0:
-        raise ValueError("the metapotential window needs xi > 0")
-    if p.K <= 0:
-        raise ValueError(f"the metapotential window needs K > 0, got {p.K:g}")
-    if not 0 < span < math.inf:
-        raise ValueError(f"span must be finite and > 0, got {span!r}")
-    try:
-        top = float(span * p.K * p.xi**2)
-    except OverflowError:
-        top = math.inf
+    top = _dos_window(p, span)
     if math.isinf(top):
         raise OverflowError(
             f"the metapotential window [0, span K xi^2] overflows at "
             f"span={span:g}, K={p.K:g}, xi={p.xi:g}"
         )
+    _check_bins(bins)
     evals = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in _parity_blocks(p)]))
-    return _histogram(evals - evals[0], bins, (0.0, top))
+    # E' = 0, the ground level, is always inside the window [0, top].
+    counts, edges = np.histogram(evals - evals[0], bins=bins, range=(0.0, top))
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    return Spectrum(centers, counts / counts.sum())
+
+
+def _dos_window(p: KerrCatParams, span: float) -> float:
+    """The top ``span K xi^2`` of the window of :func:`metapotential_dos`, once
+    the window is checked: a normal float, or ``inf`` when it overflows."""
+    if p.xi <= 0:
+        raise ParamError("xi", "the metapotential window needs xi > 0")
+    if p.K <= 0:
+        raise ParamError("K", f"the metapotential window needs K > 0, got {p.K:g}")
+    _check_span(span)
+    try:
+        top = float(span * p.K * p.xi**2)
+    except OverflowError:
+        return math.inf
+    if top < sys.float_info.min:
+        raise ParamError(
+            "xi",
+            f"the metapotential window [0, span K xi^2] underflows at "
+            f"span={span:g}, K={p.K:g}, xi={p.xi:g}",
+        )
+    return top
+
+
+def _check_span(span: float) -> None:
+    if not 0 < span < math.inf:
+        raise ParamError("span", f"span must be finite and > 0, got {span!r}")
+
+
+def _check_bins(bins: int) -> None:
+    if _integer(bins, "bins") < MIN_DOS_BINS:
+        raise ParamError("bins", f"at least {MIN_DOS_BINS} bins are required, got {bins}")
 
 
 def esqpt_energy(p: KerrCatParams, bins: int = MIN_DOS_BINS, span: float = 6.0) -> float:

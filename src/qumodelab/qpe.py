@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, ParamError
 from .fock import Operator, StateVector, _integer
 
 __all__ = [
@@ -56,10 +56,7 @@ class QpeSpec:
     eigenstate: StateVector
 
     def __post_init__(self) -> None:
-        if _integer(self.d, "d") < 2:
-            raise ValueError("qudit dimension must be at least 2")
-        if _integer(self.t, "t") < 1:
-            raise ValueError("register needs at least one qudit")
+        _check_register(self.d, self.t)
         if self.U.register.cutoffs != (self.d,):
             raise ValueError("U must act on a single qudit of dimension d")
         if self.eigenstate.register.cutoffs != (self.d,):
@@ -81,6 +78,13 @@ class QpeSpec:
         psi = self.eigenstate.amplitudes
         lam = complex(np.vdot(psi, self.U.entries @ psi))
         return (cmath.phase(lam) / (2.0 * math.pi)) % 1.0
+
+
+def _check_register(d: int, t: int) -> None:
+    if _integer(d, "d") < 2:
+        raise ParamError("d", "qudit dimension must be at least 2")
+    if _integer(t, "t") < 1:
+        raise ParamError("t", "register needs at least one qudit")
 
 
 def run_qpe(spec: QpeSpec) -> np.ndarray:

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ParamError
 from .fock import (
     Operator,
     QumodeRegister,
@@ -47,12 +48,10 @@ from .fock import (
 __all__ = [
     "WAVENUMBER_TO_RAD_PER_PS",
     "DenseHamiltonian",
-    "SnailParams",
     "fmo_hamiltonian",
     "map_hamiltonian",
     "computational_block",
     "sbm_evolve",
-    "snail_hamiltonian",
 ]
 
 # Angular frequency per wavenumber: 2 pi c = 0.18836 rad/ps per 1/cm.
@@ -103,28 +102,14 @@ def fmo_hamiltonian() -> DenseHamiltonian:
     return DenseHamiltonian(_FMO_ENTRIES, units="1/cm")
 
 
-@dataclass(frozen=True)
-class SnailParams:
-    """Driven anharmonic-resonator parameters: mode frequency and cubic strength."""
-
-    omega: float
-    g3: float
-    cutoff: int
-
-    def __post_init__(self) -> None:
-        if _integer(self.cutoff, "cutoff") < 3:
-            raise ValueError("SNAIL cutoff must be at least 3")
-        if not (math.isfinite(self.omega) and math.isfinite(self.g3)):
-            raise ValueError("non-finite SNAIL parameter")
-
-
 def _check_mapping_args(k: int, cutoff: int) -> None:
     if _integer(k, "k") < 1:
-        raise ValueError("k must be positive")
+        raise ParamError("k", "k must be positive")
     if _integer(cutoff, "cutoff") < 2 * k - 1:
-        raise ValueError(
+        raise ParamError(
+            "cutoff",
             f"cutoff {cutoff} too small: the projector polynomial reaches level "
-            f"{2 * (k - 1)}, so at least {2 * k - 1} levels are required"
+            f"{2 * (k - 1)}, so at least {2 * k - 1} levels are required",
         )
 
 
@@ -197,11 +182,3 @@ def _evolve_block(block: np.ndarray, units: str, psi0: np.ndarray, times) -> np.
     # symmetrize before diagonalizing so the propagation is exactly unitary.
     block = 0.5 * (block + block.conj().T)
     return np.abs(_propagate(block, psi0, times)) ** 2
-
-
-def snail_hamiltonian(p: SnailParams) -> Operator:
-    """Anharmonic resonator Hamiltonian ``omega n + g3 (a + adag)^3`` (hbar=1),
-    a float64 operator."""
-    a = _single_mode_annihilation(p.cutoff)
-    cubic = np.linalg.matrix_power(a + a.T, 3)
-    return Operator(p.omega * (a.T @ a) + p.g3 * cubic, QumodeRegister((p.cutoff,)))

@@ -20,10 +20,12 @@ on the starting surface (the bra, the measured photon-number outcome) and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ParamError
 from .fock import FockIndex, Operator, QumodeRegister, _integer, flat_index
 from .gates import GateSpec, beamsplitter, compose_circuit, displacement, squeezing
 from .spectrum import Spectrum
@@ -76,14 +78,14 @@ def fcf_table(U: Operator, initial: FockIndex, maxq: int) -> np.ndarray:
     reg = U.register
     if reg.nmodes != 2:
         raise ValueError("FCF tables are defined for two-mode operators")
-    if _integer(maxq, "maxq") < 0:
-        raise ValueError("maxq must be non-negative")
-    if maxq >= min(reg.cutoffs):
-        raise ValueError(
-            f"maxq={maxq} must stay below the per-mode cutoff {min(reg.cutoffs)}"
-        )
+    _check_maxq(maxq, min(reg.cutoffs))
     row = U.entries[flat_index(initial, reg), :].reshape(reg.cutoffs)
     return np.abs(row[: maxq + 1, : maxq + 1]) ** 2
+
+
+def _check_maxq(maxq: int, cutoff: int) -> None:
+    if not 0 <= _integer(maxq, "maxq") < cutoff:
+        raise ParamError("maxq", f"maxq={maxq} must be in 0..{cutoff - 1}, below the mode cutoff")
 
 
 def stick_spectrum(
@@ -94,10 +96,16 @@ def stick_spectrum(
     One line per table entry ``(n, m)`` at energy ``e00 + n w1 + m w2``, with
     the factor as its weight; lines come out sorted by increasing energy.
     """
-    w1, w2 = (float(w) for w in mode_freqs)
-    if w1 <= 0 or w2 <= 0:
-        raise ValueError("mode frequencies must be positive")
+    w1, w2 = _mode_freqs(mode_freqs)
     table = np.asarray(table, dtype=float)
     n_idx, m_idx = np.indices(table.shape)
     energies = e00 + n_idx.ravel() * w1 + m_idx.ravel() * w2
     return Spectrum(energies, table.ravel()).sorted()
+
+
+def _mode_freqs(mode_freqs) -> tuple[float, float]:
+    """The two frequencies as floats, refused unless each is finite and positive."""
+    w1, w2 = (float(w) for w in mode_freqs)
+    if not (0 < w1 < math.inf and 0 < w2 < math.inf):
+        raise ParamError("mode_freqs", f"mode frequencies must be finite and > 0, got {w1}, {w2}")
+    return w1, w2

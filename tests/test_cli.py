@@ -4,9 +4,27 @@ import re
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qumodelab import cli, fmo_hamiltonian, sbm_evolve
+from qumodelab import (
+    DoubleWellParams,
+    KerrCatParams,
+    ParamError,
+    QpeSpec,
+    QumodeRegister,
+    basis_state,
+    cli,
+    excitation_sweep,
+    fcf_table,
+    flat_index,
+    fmo_hamiltonian,
+    identity,
+    map_hamiltonian,
+    metapotential_dos,
+    sbm_evolve,
+    stick_spectrum,
+)
 
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -129,7 +147,9 @@ def test_unknown_keys_rejected(tmp_path):
 
 # Characterization of config validation: for each bad config, the exact set of
 # (severity, field) pairs it reports. Each case starts from a valid config of
-# its experiment and applies a change; DROP removes a key.
+# its experiment and applies a change; DROP removes a key. A case whose rule a
+# library check owns also carries a call that the check refuses for the same
+# value (see test_library_refusal_is_reported_at_its_field).
 
 DROP = object()
 INF, NAN = float("inf"), float("nan")
@@ -148,9 +168,19 @@ def errors(*fields):
     return {("error", f) for f in fields}
 
 
+def qpe_spec(d, t):
+    reg = QumodeRegister((d,))
+    return QpeSpec(d, t, identity(reg), basis_state(reg, (0,)))
+
+
+def sweep(K=1.0, grid=(0.0, 1.0), cutoff=30, n_levels=4):
+    return excitation_sweep(K, grid, cutoff, n_levels)
+
+
 BAD_PARAMS = [
     ("vibronic", {"freqs": DROP}, errors("params.freqs")),
-    ("vibronic", {"freqs": [1.0, -1.0]}, errors("params.freqs")),
+    ("vibronic", {"freqs": [1.0, -1.0]}, errors("params.freqs"),
+     lambda: stick_spectrum(np.ones((2, 2)), (1.0, -1.0), 0.0)),
     ("vibronic", {"freqs": [1.0]}, errors("params.freqs")),
     ("vibronic", {"alpha1": "x"}, errors("params.alpha1")),
     ("vibronic", {"alpha1": [1.0, 2.0, 3.0]}, errors("params.alpha1")),
@@ -161,8 +191,10 @@ BAD_PARAMS = [
     ("vibronic", {"e00": NAN}, errors("params.e00")),
     ("vibronic", {"cutoff": 1}, errors("params.cutoff")),
     ("vibronic", {"cutoff": 2.5}, errors("params.cutoff")),
-    ("vibronic", {"cutoff": 4, "initial": [4, 0]}, errors("params.initial")),
-    ("vibronic", {"cutoff": 4, "maxq": 4}, errors("params.maxq")),
+    ("vibronic", {"cutoff": 4, "initial": [4, 0]}, errors("params.initial"),
+     lambda: flat_index((4, 0), QumodeRegister((4, 4)))),
+    ("vibronic", {"cutoff": 4, "maxq": 4}, errors("params.maxq"),
+     lambda: fcf_table(identity(QumodeRegister((4, 4))), (0, 0), 4)),
     ("vibronic", {"initial": [0]}, errors("params.initial")),
     ("vibronic", {"cutoff": 1, "initial": [20, 0]}, errors("params.cutoff", "params.initial")),
     ("vibronic", {"note": 5, "foo": 1}, errors("params.note", "params.foo")),
@@ -173,7 +205,8 @@ BAD_PARAMS = [
     ("sbm-evolve", {"units": "dimensionless"}, errors("params.units")),
     ("sbm-evolve", {"units": "eV"}, errors("params.units")),
     ("sbm-evolve", {"hamiltonian": [[1.0, 0.5], [0.5, 2.0]], "units": "eV"}, errors("params.units")),
-    ("sbm-evolve", {"cutoff": 5}, errors("params.cutoff")),
+    ("sbm-evolve", {"cutoff": 5}, errors("params.cutoff"),
+     lambda: map_hamiltonian(fmo_hamiltonian(), 5)),
     ("sbm-evolve", {"initial": 5}, errors("params.initial")),
     ("sbm-evolve", {"initial": [1.0, 0.0]}, errors("params.initial")),
     ("sbm-evolve", {"initial": [0.5, 0.5, 0.5, 0.4]}, errors("params.initial")),
@@ -184,29 +217,32 @@ BAD_PARAMS = [
     ("sbm-evolve", {"times": {"start": 0.0, "stop": 1.0, "num": 0}}, errors("params.times")),
     ("sbm-evolve", {"times": []}, errors("params.times")),
     ("sbm-evolve", {"times": "soon"}, errors("params.times")),
-    ("kerrcat-sweep", {"cutoff": -3}, errors("params.cutoff")),
+    ("kerrcat-sweep", {"cutoff": -3}, errors("params.cutoff"), lambda: sweep(cutoff=-3)),
     ("kerrcat-sweep", {"cutoff": "x"}, errors("params.cutoff")),
-    ("kerrcat-sweep", {"n_levels": 40}, errors("params.n_levels")),
-    ("kerrcat-sweep", {"n_levels": 0}, errors("params.n_levels")),
+    ("kerrcat-sweep", {"n_levels": 40}, errors("params.n_levels"), lambda: sweep(n_levels=40)),
+    ("kerrcat-sweep", {"n_levels": 0}, errors("params.n_levels"), lambda: sweep(n_levels=0)),
     ("kerrcat-sweep", {"xi_grid": DROP}, errors("params.xi_grid")),
-    ("kerrcat-sweep", {"xi_grid": [-1.0]}, errors("params.xi_grid")),
+    ("kerrcat-sweep", {"xi_grid": [-1.0]}, errors("params.xi_grid"), lambda: sweep(grid=[-1.0])),
     ("kerrcat-sweep", {"xi_grid": []}, errors("params.xi_grid")),
     ("kerrcat-sweep", {"xi_grid": [1.0, 0.0]}, {("warning", "params.xi_grid")}),
-    ("kerrcat-sweep", {"K": NAN}, errors("params.K")),
+    ("kerrcat-sweep", {"K": NAN}, errors("params.K"), lambda: sweep(K=NAN)),
     ("kerrcat-sweep", {"K": "k"}, errors("params.K")),
     ("kerrcat-sweep", {"dos_xi": 1.0}, errors("params.dos_output")),
     ("kerrcat-sweep", {"dos_output": "dos.csv"}, errors("params.dos_output")),
-    ("kerrcat-sweep", {"dos_xi": -1.0, "dos_output": "dos.csv"}, errors("params.dos_xi")),
+    ("kerrcat-sweep", {"dos_xi": -1.0, "dos_output": "dos.csv"}, errors("params.dos_xi"),
+     lambda: metapotential_dos(KerrCatParams(xi=-1.0))),
     ("kerrcat-sweep", {"dos_xi": 1.0, "dos_output": ""}, errors("params.dos_output")),
     ("kerrcat-sweep", {"dos_bins": 5, "dos_span": 0.0}, errors("params.dos_bins", "params.dos_span")),
-    ("doublewell", {"k4": -1.0}, errors("params.k4")),
-    ("doublewell", {"k4": 0.0, "k2": 1.0}, errors("params.k4")),
+    ("doublewell", {"k4": -1.0}, errors("params.k4"), lambda: DoubleWellParams(-1.0, 2.0)),
+    ("doublewell", {"k4": 0.0, "k2": 1.0}, errors("params.k4"), lambda: DoubleWellParams(0.0, 1.0)),
     ("doublewell", {"k2": DROP}, errors("params.k2")),
     ("doublewell", {"k4": "x"}, errors("params.k4")),
-    ("doublewell", {"mass": 0.0}, errors("params.mass")),
+    ("doublewell", {"mass": 0.0}, errors("params.mass"),
+     lambda: DoubleWellParams(1.0, 2.0, mass=0.0)),
     ("doublewell", {"k4": -1.0, "mass": -1.0}, errors("params.k4", "params.mass")),
     ("doublewell", {"k1": INF}, errors("params.k1")),
-    ("doublewell", {"cutoff": 1}, errors("params.cutoff")),
+    ("doublewell", {"cutoff": 1}, errors("params.cutoff"),
+     lambda: DoubleWellParams(1.0, 2.0, cutoff=1)),
     ("doublewell", {"cutoff": 1, "n_levels": 8}, errors("params.cutoff")),
     ("doublewell", {"n_levels": 31}, errors("params.n_levels")),
     ("doublewell", {"n_levels": DROP}, errors("params.n_levels")),
@@ -216,8 +252,8 @@ BAD_PARAMS = [
     ("hafnian", {"edges": [[1, 2, "w"]]}, errors("params.edges")),
     ("hafnian", {"edges": DROP, "edges_file": ""}, errors("params.edges_file")),
     ("hafnian", {"n": 0}, errors("params.n")),
-    ("qpe", {"d": 1}, errors("params.d")),
-    ("qpe", {"t": 0}, errors("params.t")),
+    ("qpe", {"d": 1}, errors("params.d"), lambda: qpe_spec(1, 1)),
+    ("qpe", {"t": 0}, errors("params.t"), lambda: qpe_spec(3, 0)),
     ("qpe", {"d": 4, "t": 6}, errors("params.t")),
     ("qpe", {"phase": DROP}, errors("params.phase")),
     ("qpe", {"phase": "x"}, errors("params.phase")),
@@ -231,6 +267,28 @@ BAD_PARAMS = [
     ("qpe", {"shots": 10**30}, errors("params.shots")),
     # numpy refuses a 711 PiB array before it touches memory
     ("sbm-evolve", {"times": {"start": 0.0, "stop": 1.0, "num": 10**17}}, errors("params.times")),
+    # rules whose library check has no row above
+    ("vibronic", {"freqs": [INF, 1.0]}, errors("params.freqs"),
+     lambda: stick_spectrum(np.ones((2, 2)), (INF, 1.0), 0.0)),
+    ("vibronic", {"initial": [-1, 0]}, errors("params.initial"),
+     lambda: flat_index((-1, 0), QumodeRegister((16, 16)))),
+    ("kerrcat-sweep", {"dos_bins": 5}, errors("params.dos_bins"),
+     lambda: metapotential_dos(KerrCatParams(xi=1.0), bins=5)),
+    ("kerrcat-sweep", {"dos_span": INF}, errors("params.dos_span"),
+     lambda: metapotential_dos(KerrCatParams(xi=1.0), span=INF)),
+    ("kerrcat-sweep", {"dos_span": -1.0}, errors("params.dos_span"),
+     lambda: metapotential_dos(KerrCatParams(xi=1.0), span=-1.0)),
+    ("kerrcat-sweep", {"dos_xi": 0.0, "dos_output": "dos.csv"}, errors("params.dos_xi"),
+     lambda: metapotential_dos(KerrCatParams(xi=0.0))),
+    ("kerrcat-sweep", {"K": 0.0, "dos_xi": 1.0, "dos_output": "dos.csv"}, errors("params.K"),
+     lambda: metapotential_dos(KerrCatParams(xi=1.0, K=0.0))),
+    ("kerrcat-sweep", {"dos_xi": 1e-160, "dos_output": "dos.csv"}, errors("params.dos_xi"),
+     lambda: metapotential_dos(KerrCatParams(xi=1e-160, cutoff=30))),
+    # A library check that reads several fields stops at the first error it
+    # finds, and is skipped when a field it reads has failed already.
+    ("qpe", {"d": 0, "t": 0}, errors("params.d")),
+    ("kerrcat-sweep", {"K": NAN, "n_levels": 0}, errors("params.K")),
+    ("doublewell", {"k4": -1.0, "cutoff": "x"}, errors("params.cutoff")),
 ]
 
 BAD_TOP_LEVEL = [
@@ -264,14 +322,31 @@ def reported(tmp_path, cfg):
 
 @pytest.mark.parametrize(
     "experiment, change, expected",
-    BAD_PARAMS,
-    ids=[f"{exp}-{i}" for i, (exp, _, _) in enumerate(BAD_PARAMS)],
+    [row[:3] for row in BAD_PARAMS],
+    ids=[f"{exp}-{i}" for i, (exp, *_) in enumerate(BAD_PARAMS)],
 )
 def test_bad_params_diagnostics(in_tmp, experiment, change, expected):
     (in_tmp / "graph.txt").write_text("1 2\n3 4\n")
     params = changed(VALID_PARAMS[experiment], change)
     cfg = {"experiment": experiment, "params": params, "output": "out"}
     assert reported(in_tmp, cfg) == expected
+
+
+@pytest.mark.parametrize(
+    "experiment, change, expected, refuse",
+    [pytest.param(*row, id=f"{row[0]}-{i}") for i, row in enumerate(BAD_PARAMS) if len(row) == 4],
+)
+def test_library_refusal_is_reported_at_its_field(
+    in_tmp, capsys, experiment, change, expected, refuse
+):
+    with pytest.raises(ParamError) as exc:
+        refuse()
+    ((_, field),) = expected
+    params = changed(VALID_PARAMS[experiment], change)
+    cfg = {"experiment": experiment, "params": params, "output": "out"}
+    assert cli.validate_config(cfg)[0] == [cli.Diagnostic("error", field, str(exc.value))]
+    assert cli.run(write_config(in_tmp, cfg)) == 1
+    assert capsys.readouterr().err == f"error: {field}: {exc.value}\n"
 
 
 @pytest.mark.parametrize("change, expected", BAD_TOP_LEVEL)
@@ -620,9 +695,10 @@ def test_overflowing_dos_window_is_named(in_tmp, capsys):
 def test_underflowing_dos_window_is_refused_at_dos_xi(in_tmp, dos_xi):
     params = dict(SMALL_PARAMS["kerrcat-sweep"], dos_xi=dos_xi)
     path = write_config(in_tmp, {"experiment": "kerrcat-sweep", "params": params, "output": "out.csv"})
-    assert [(d.field, d.message) for d in cli.validate(path)] == [
-        ("params.dos_xi", "the DOS window top dos_span * K * dos_xi^2 underflows")
-    ]
+    assert [(d.field, d.message) for d in cli.validate(path)] == [(
+        "params.dos_xi",
+        f"the metapotential window [0, span K xi^2] underflows at span=6, K=1, xi={dos_xi:g}",
+    )]
     assert cli.run(path) == 1
     assert not Path("out.csv").exists()
 

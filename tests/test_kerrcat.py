@@ -12,9 +12,9 @@ from qumodelab import (
     ConvergenceError,
     DoubleWellParams,
     KerrCatParams,
+    ParamError,
     QumodeRegister,
     annihilation,
-    density_of_states,
     doublewell_hamiltonian,
     esqpt_energy,
     excitation_sweep,
@@ -307,15 +307,13 @@ def test_pairs_below_esqpt_are_kissing():
 
 
 def test_dos_normalized():
-    H = kerrcat_hamiltonian(KerrCatParams(xi=2.0, K=1.0, cutoff=60))
-    dos = density_of_states(H, bins=20)
+    dos = metapotential_dos(KerrCatParams(xi=2.0, K=1.0, cutoff=60), bins=20)
     assert abs(dos.total_weight - 1.0) < 1e-12
 
 
 def test_dos_bin_count_validation():
-    H = kerrcat_hamiltonian(KerrCatParams(xi=2.0, K=1.0, cutoff=60))
     with pytest.raises(ValueError):
-        density_of_states(H, bins=5)
+        metapotential_dos(KerrCatParams(xi=2.0, K=1.0, cutoff=60), bins=5)
 
 
 def test_every_dos_refuses_fewer_than_ten_bins():
@@ -327,29 +325,13 @@ def test_every_dos_refuses_fewer_than_ten_bins():
     assert len(metapotential_dos(p, bins=kerrcat.MIN_DOS_BINS)) == 10
 
 
-def test_dos_refuses_an_empty_energy_range():
-    H = kerrcat_hamiltonian(KerrCatParams(xi=2.0, K=1.0, cutoff=60))
-    with pytest.raises(ValueError, match="no eigenvalues inside"):
-        density_of_states(H, bins=10, energy_range=(-100.0, -50.0))
-
-
 def test_dos_refuses_a_window_of_zero_width():
-    # The window top span K xi^2 underflows to 0 at a tiny drive.
-    with pytest.raises(ValueError, match="needs lo < hi"):
-        metapotential_dos(KerrCatParams(xi=1e-200, cutoff=30))
-    H = kerrcat_hamiltonian(KerrCatParams(xi=2.0, K=1.0, cutoff=60))
-    with pytest.raises(ValueError, match="needs lo < hi"):
-        density_of_states(H, bins=10, energy_range=(0.0, 0.0))
-
-
-def test_dos_zero_drive_supported_on_number_values():
-    H = kerrcat_hamiltonian(KerrCatParams(xi=0.0, K=1.0, cutoff=40))
-    dos = density_of_states(H, bins=30)
-    half_width = (dos.energies[1] - dos.energies[0]) / 2
-    values = {n * (n - 1) for n in range(40)}
-    for center, weight in zip(dos.energies, dos.weights):
-        if weight > 0:
-            assert any(abs(v - center) <= half_width + 1e-9 for v in values)
+    # The window top span K xi^2 underflows to 0 at xi = 1e-200, and to the
+    # subnormal 6e-320 at xi = 1e-160.
+    for xi in (1e-200, 1e-160):
+        with pytest.raises(ParamError, match="window .* underflows at span=6, K=1") as exc:
+            metapotential_dos(KerrCatParams(xi=xi, cutoff=30))
+        assert exc.value.name == "xi"
 
 
 def test_metapotential_dos_peaks_at_barrier():
@@ -460,8 +442,6 @@ def test_sweep_and_dos_refuse_non_integer_sizes(n_levels, bins):
     for estimate in (metapotential_dos, esqpt_energy):
         with pytest.raises(ValueError, match="bins must be an integer"):
             estimate(KerrCatParams(xi=2.0), bins=bins)
-    with pytest.raises(ValueError, match="bins must be an integer"):
-        density_of_states(kerrcat_hamiltonian(KerrCatParams(xi=2.0, cutoff=20)), bins=bins)
     assert excitation_sweep(1.0, [1.0], 20, np.int64(4)).n_levels == 4
     assert len(metapotential_dos(KerrCatParams(xi=2.0), bins=np.int64(12))) == 12
 

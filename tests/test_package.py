@@ -50,14 +50,15 @@ def test_package_exports_nothing_else():
         if not attr.startswith("_") and not inspect.ismodule(obj)
     }
     exported = set().union(*map(module_all, LIBRARY))
-    # errors.py has no __all__; ``import *`` takes its two classes.
-    assert public - exported == {"ContractViolation", "ConvergenceError"}
+    # errors.py has no __all__; ``import *`` takes its three classes.
+    assert public - exported == {"ContractViolation", "ConvergenceError", "ParamError"}
 
 
 def test_test_references_and_duplicates_are_not_public():
     gone = {"qpe_circuit", "qudit_fourier", "controlled_power", "sbm_projector", "parity_split",
             "perfect_matching_count", "unflatten", "read_edge_list", "franck_condon_factor",
-            "embed_single_mode"}
+            "embed_single_mode", "evolve", "HERMITICITY_TOL", "density_of_states",
+            "SnailParams", "snail_hamiltonian"}
     assert not gone & set(dir(qumodelab))
     assert not gone & set().union(*map(module_all, MODULES))
 

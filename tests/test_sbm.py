@@ -9,17 +9,13 @@ from qumodelab import (
     DenseHamiltonian,
     Operator,
     QumodeRegister,
-    SnailParams,
     WAVENUMBER_TO_RAD_PER_PS,
     annihilation,
-    basis_state,
     computational_block,
-    evolve,
     fmo_hamiltonian,
     map_hamiltonian,
     number,
     sbm_evolve,
-    snail_hamiltonian,
 )
 from qumodelab.fock import _propagate
 
@@ -182,42 +178,8 @@ def test_non_finite_time_rejected(times, bad):
         sbm_evolve(fmo_hamiltonian(), np.eye(4)[0], times, cutoff=7)
 
 
-# ---------------------------------------------------------------------------
-# SNAIL Hamiltonian
-# ---------------------------------------------------------------------------
-
-
-def test_snail_harmonic_limit():
-    H = snail_hamiltonian(SnailParams(omega=2.5, g3=0.0, cutoff=6))
-    assert np.abs(H.entries - np.diag(2.5 * np.arange(6))).max() < 1e-12
-
-
-def test_snail_hermitian():
-    H = snail_hamiltonian(SnailParams(omega=1.0, g3=0.2, cutoff=12))
-    assert H.hermiticity_defect() < 1e-12
-
-
-def test_snail_cubic_matrix_element():
-    # expand (a + adag)^3: the only path from |3> to |0> is a a a with
-    # amplitude sqrt(3!) = sqrt(6)
-    g3 = 0.17
-    H = snail_hamiltonian(SnailParams(omega=1.0, g3=g3, cutoff=6))
-    reg = QumodeRegister((6,))
-    a = annihilation(reg, 1).entries
-    oracle = 1.0 * number(reg, 1).entries + g3 * np.linalg.matrix_power(a + a.conj().T, 3)
-    assert np.abs(H.entries - oracle).max() == 0.0
-    assert abs(H.entries[0, 3] - g3 * math.sqrt(6)) < 1e-12
-
-
-def test_snail_cutoff_validation():
-    with pytest.raises(ValueError):
-        SnailParams(omega=1.0, g3=0.1, cutoff=2)
-
-
 @pytest.mark.parametrize("cutoff", [3.5, 7.0, True])
 def test_sizes_refuse_non_integers(cutoff):
-    with pytest.raises(ValueError, match="cutoff must be an integer"):
-        SnailParams(omega=1.0, g3=0.1, cutoff=cutoff)
     with pytest.raises(ValueError, match="cutoff must be an integer"):
         map_hamiltonian(fmo_hamiltonian(), cutoff)
     with pytest.raises(ValueError, match="k must be an integer"):
@@ -323,29 +285,15 @@ def test_projector_and_snail_are_real_and_match_the_complex_build():
         assert P.dtype == np.float64
         assert np.abs(P - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
-    p = SnailParams(omega=1.3, g3=0.05, cutoff=20)
-    reg = QumodeRegister((p.cutoff,))
-    a = annihilation(reg, 1).entries
-    oracle = p.omega * number(reg, 1).entries + p.g3 * mp(a + a.conj().T, 3)
-    H = snail_hamiltonian(p).entries
-    assert H.dtype == np.float64
-    assert np.abs(H - oracle).max() <= 1e-13 * np.abs(oracle).max()
-
 
 def test_hermiticity_tolerances_stay_distinct():
-    """DenseHamiltonian refuses a defect of 5e-10; evolve accepts it and
-    refuses 2e-9 (tolerances 1e-10 and 1e-9)."""
+    """DenseHamiltonian refuses a defect of 5e-10 (tolerance 1e-10)."""
 
     def skewed(defect):
         return np.array([[0.0, 1.0 + defect], [1.0, 0.0]])
 
     with pytest.raises(ContractViolation, match="not Hermitian"):
         DenseHamiltonian(skewed(5e-10))
-    reg = QumodeRegister((2,))
-    psi = basis_state(reg, (0,))
-    assert abs(evolve(Operator(skewed(5e-10), reg), 0.3, psi).norm - 1.0) < 1e-9
-    with pytest.raises(ContractViolation, match="not Hermitian"):
-        evolve(Operator(skewed(2e-9), reg), 0.3, psi)
 
 
 @pytest.mark.parametrize("k", [-2, 0, 6])

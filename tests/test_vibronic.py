@@ -5,6 +5,7 @@ import pytest
 
 from qumodelab import (
     DoktorovSpec,
+    ParamError,
     QumodeRegister,
     Spectrum,
     doktorov_operator,
@@ -193,6 +194,13 @@ def test_total_weight_conserved_and_sorted():
 def test_nonpositive_frequency_rejected():
     with pytest.raises(ValueError):
         stick_spectrum(np.ones((2, 2)), (0.0, 1.0), e00=0.0)
+
+
+@pytest.mark.parametrize("freqs", [(math.inf, 1.0), (1.0, math.nan)])
+def test_non_finite_frequency_is_refused_by_name(freqs):
+    with pytest.raises(ParamError, match="mode frequencies must be finite") as exc:
+        stick_spectrum(np.ones((2, 2)), freqs, e00=0.0)
+    assert exc.value.name == "mode_freqs"
 
 
 def test_spectrum_rejects_negative_weights():
