@@ -184,7 +184,7 @@ _REAL_PAIR = ("two numbers", lambda x: _is_list(x, _REAL[1], 2))
 _VIBRONIC = {
     **{n: _Field(_COMPLEX, 0.0, make=_doktorov(n)) for n in ("alpha1", "alpha2", "z1", "z2")},
     **{n: _Field(_REAL, 0.0, make=_doktorov(n)) for n in ("theta_bs", "phi_bs")},
-    "cutoff": _Field(_INT, 16, lo=2),
+    "cutoff": _Field(_INT, 16, lo=2, check=lambda x, v: QumodeRegister((x, x))),
     "initial": _Field(
         _INT_PAIR, [0, 0], check=lambda x, v: flat_index(x, QumodeRegister((v["cutoff"],) * 2))
     ),
@@ -323,8 +323,10 @@ def _rules(experiment: str, given: dict, values: dict):
     if experiment == "hafnian" and ("edges" in given) == ("edges_file" in given):
         yield _err("params.edges", "give exactly one of edges or edges_file")
     if experiment == "qpe" and "d" in values and "t" in values:
-        size = values["d"] ** (values["t"] + 1)
-        if size > 4096:
+        d, t = values["d"], values["t"]
+        # d >= 2, so t >= 12 is over the cap: the exact power is formed only below it.
+        size = d ** (t + 1) if t < 12 else f"{d}^{t + 1}"
+        if t >= 12 or size > 4096:
             yield _err("params.t", f"register too large: d^(t+1) = {size} > 4096")
 
 

@@ -189,113 +189,106 @@ def _merged_levels(even: np.ndarray, odd: np.ndarray, roundoff: float, n_levels:
     return energies[:n_levels], labels[:n_levels]
 
 
-def _count_below(d: np.ndarray, e: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _count_below(d: np.ndarray, e: np.ndarray, x: np.ndarray, lowered=None) -> np.ndarray:
     """Number of eigenvalues below each ``x[g, l]`` of the symmetric tridiagonal
-    matrix with diagonal ``d`` and off-diagonal ``e[g]``.
+    matrix with diagonal ``d`` and off-diagonal ``e[g]``, its last diagonal
+    entry lowered by ``c[g]^2 / gap[g]`` if ``lowered = (c, gap)``, ``gap > 0``.
 
     This is the Sturm count: the number of negative pivots of the LDL^T
     factorization of ``T_g - x[g, l]`` (Kahan's bisection, as in LAPACK
     ``dstebz``), one vectorized pass over the rows.
     """
-    # Scale each matrix by a power of two (exact) so that its largest entry is
-    # below 1; then e^2 and every pivot stay finite at any input size.
-    largest = np.abs(np.hstack([e, x])).max(axis=1, initial=np.abs(d).max(initial=0.0))
-    shift = -np.frexp(largest)[1][:, None]
-    d, e, x = np.ldexp(d, shift), np.ldexp(e, shift), np.ldexp(x, shift)
+    c, gap = np.zeros((2, len(e))) if lowered is None else lowered
+    # Scale each matrix, c and gap by a power of two (exact) so that the largest
+    # is below 1; then e^2, the lowering and every pivot stay finite at any size.
+    largest = np.abs(np.column_stack([e, x, c, gap])).max(
+        axis=1, initial=np.abs(d).max(initial=0.0)
+    )
+    shift = -np.frexp(largest)[1]
+    d, e, x = (np.ldexp(a, shift[:, None]) for a in (d, e, x))
+    c, gap = np.ldexp(c, shift), np.ldexp(gap, shift)
     e2 = e * e
     # dstebz's pivmin = tiny * max(1, max e^2) is tiny here, since max e^2 <= 1.
     pivmin = np.finfo(float).tiny
+    # With gap raised to pivmin the entry is lowered further, never less.
+    lower = c * (c / np.maximum(gap, pivmin))
     count = np.zeros(x.shape, dtype=int)
     for j in range(d.shape[1]):
         q = d[:, j, None] - x - (e2[:, j - 1, None] / q if j else 0.0)
+        q -= lower[:, None] if j == d.shape[1] - 1 else 0.0
         q[np.abs(q) < pivmin] = -pivmin
         count += q < 0
     return count
 
 
-def _lowest_eigenvalues(d: np.ndarray, e: np.ndarray, roundoff: np.ndarray, want: int):
-    """The lowest ``want`` (at most all) eigenvalues of each tridiagonal matrix
-    ``T_g`` with diagonal ``d`` and off-diagonal ``e[g]``, from its smallest
-    certified leading block.
+def excitation_sweep(K: float, xi_grid, cutoff: int, n_levels: int) -> SpectrumSweep:
+    """Lowest excitation energies with parity labels over a xi grid, each within
+    1e-8 of the untruncated operator's.
 
-    By Cauchy interlacing, the k-th eigenvalue ``mu_k`` of a leading block is
-    at least the k-th eigenvalue of ``T_g``. A Sturm count of at most k
-    eigenvalues of ``T_g`` below ``mu_k - 64 roundoff[g]`` bounds it from below
-    as well, at the round-off of a dense solve of ``T_g``. The leading blocks
-    start at 32 rows and double for the matrices that are not cleared, up to
-    ``T_g`` itself.
-    """
-    want = min(want, len(d))
-    out = np.empty((len(e), want))
-    todo = np.arange(len(e))
-    m = max(32, want)
-    while len(todo):
-        m = min(m, len(d))
-        mu = np.concatenate([
-            np.linalg.eigvalsh(_symmetric_band_matrix(d[:m], e[chunk, : m - 1], 1))[:, :want]
-            for chunk in np.array_split(todo, -(-len(todo) * m * m // _STACK_FLOATS))
-        ])
-        if m == len(d):
-            out[todo] = mu
-            break
-        x = mu - 64 * roundoff[todo, None]
-        cleared = (_count_below(d, e[todo], x) <= np.arange(want)).all(axis=1)
-        out[todo[cleared]] = mu[cleared]
-        todo = todo[~cleared]
-        m *= 2
-    return out
+    Each parity block ``J`` of the untruncated operator is solved on its leading
+    ``m`` rows ``B``, stacked over the grid. By Cauchy interlacing, the merged
+    levels ``L_k`` of both parities are upper bounds. The rest of ``J`` starts at
+    Fock level ``n``; the Gershgorin bound of its row at level ``n``,
+    ``t = K [n (n - 1) - 2 xi sqrt((n + 1)(n + 2))]``, rises with ``n`` once
+    ``n >= xi + 1`` and so bounds the rest below (as 0 does for K = 0). By
+    Haynsworth inertia additivity, below any ``x < t`` ``J`` has at most as many
+    levels as ``B`` with its last diagonal entry lowered by ``c^2 / (t - x)``,
+    ``c`` the drive entry that couples ``B`` to the rest. A point is certified
+    when this Sturm count, summed over both parities, is at most k below
+    ``L_k - tol + 64 roundoff`` for every k (the lowering at the top ``x``
+    serves them all): then every level, and so every excitation, is within
+    ``tol`` of the untruncated one.
 
-
-def excitation_sweep(
-    K: float, xi_grid, cutoff: int, n_levels: int
-) -> SpectrumSweep:
-    """Lowest excitation energies with parity labels over a xi grid.
-
-    The levels of each parity block come from its smallest leading block
-    (32 rows, doubled as needed) whose lowest levels a Sturm count certifies,
-    so they equal the cutoff-``cutoff`` levels to round-off; a cutoff-200
-    sweep solves 32-row blocks, not 100-row ones.
-
-    Each grid point is checked for truncation convergence against
-    ``cutoff + 10``; disagreement beyond 1e-8 raises :class:`ConvergenceError`
-    naming the offending xi. A Sturm count on the ``cutoff + 10`` parity
-    blocks clears most points without solving them: when it proves that no
-    level moves by more than half the tolerance, no excitation can move by
-    more than the tolerance. The other points are solved again on their whole
-    ``cutoff + 10`` parity blocks, stacked over the grid.
+    ``m`` starts at 32 rows (or ``n_levels``) and doubles for the points not
+    certified, up to the ``cutoff`` blocks. A point that these do not certify
+    raises :class:`ConvergenceError` naming the first such xi and the cause:
+    truncation, or round-off that reaches the tolerance. ``K < 0`` is refused:
+    its spectrum has no lowest levels.
     """
     xi_grid = _sweep_grid(K, xi_grid, cutoff, n_levels)
-    # The cutoff bands are the leading entries of the cutoff + 10 ones.
-    diagonal, drive = _bands(K, xi_grid, cutoff + 10)
+    # The cutoff bands, and the drive entries that couple the cutoff blocks on.
+    diagonal, drive = _bands(K, xi_grid, cutoff + 2)
     roundoff = _roundoff(diagonal[:cutoff], drive[:, : cutoff - 2])
-    even, odd = (
-        _lowest_eigenvalues(diagonal[s:cutoff:2], drive[:, s : cutoff - 2 : 2], roundoff, n_levels)
-        for s in (0, 1)
-    )
     levels = np.empty((len(xi_grid), n_levels))
-    all_par = np.empty((len(xi_grid), n_levels), dtype=int)
-    for i in range(len(xi_grid)):
-        levels[i], all_par[i] = _merged_levels(even[i], odd[i], roundoff[i], n_levels)
-    all_ex = levels - levels[:, :1]
-    # Each cutoff block is a leading block of its cutoff + 10 block, so by
-    # interlacing the k-th merged level there is at most levels[:, k]. At most
-    # k eigenvalues below levels[:, k] - tol/2 bound it from below as well.
-    x = levels - SWEEP_CONVERGENCE_TOL / 2
-    below = sum(_count_below(diagonal[s::2], drive[:, s::2], x) for s in (0, 1))
-    todo = np.flatnonzero((below > np.arange(n_levels)).any(axis=1))
-    if len(todo):
-        # Asked for every level, _lowest_eigenvalues solves the whole blocks; roundoff is unused.
-        check = np.sort(np.hstack([
-            _lowest_eigenvalues(diagonal[s::2], drive[todo, s::2], None, cutoff + 10) for s in (0, 1)
-        ]))[:, :n_levels]
-        drift = np.abs(all_ex[todo] - (check - check[:, :1])).max(axis=1)
-        i = np.argmax(drift > SWEEP_CONVERGENCE_TOL)  # the first point in grid order that fails
-        if drift[i] > SWEEP_CONVERGENCE_TOL:
-            raise ConvergenceError(
-                f"lowest {n_levels} levels not converged at xi={xi_grid[todo[i]]:g}: "
-                f"cutoff {cutoff} vs {cutoff + 10} differ by {drift[i]:.3e}"
+    parities = np.empty((len(xi_grid), n_levels), dtype=int)
+    todo = np.arange(len(xi_grid))
+    m = max(32, n_levels)
+    while len(todo):
+        xi, solved, blocks = xi_grid[todo], [], []
+        for s in (0, 1):
+            r = min(m, (cutoff + 1 - s) // 2)
+            d, e = diagonal[s : 2 * r + s : 2], drive[todo, s : 2 * r + s : 2]
+            solved.append(np.concatenate([
+                np.linalg.eigvalsh(_symmetric_band_matrix(d, band, 1))[:, :n_levels]
+                for band in np.array_split(e[:, :-1], -(-len(e) * r * r // _STACK_FLOATS))
+            ]))
+            n = 2 * r + s  # the first Fock level past B; t = -inf where no bound holds
+            bounded = (K == 0) | (n >= xi + 1)
+            radius = 2 * np.where(bounded, xi, 0.0) * math.sqrt((n + 1.0) * (n + 2.0))
+            blocks.append((d, e, np.where(bounded, K * (n * (n - 1.0) - radius), -np.inf)))
+        for i, even, odd in zip(todo, *solved):
+            levels[i], parities[i] = _merged_levels(even, odd, roundoff[i], n_levels)
+        x = levels[todo] - SWEEP_CONVERGENCE_TOL + 64 * roundoff[todo, None]
+        top = x[:, -1]
+        ok = np.logical_and.reduce([top < t for _, _, t in blocks])
+        below = sum(
+            _count_below(d, e[ok, :-1], x[ok], (e[ok, -1], t[ok] - top[ok])) for d, e, t in blocks
+        )
+        ok[ok] = (below <= np.arange(n_levels)).all(axis=1)
+        todo = todo[~ok]
+        if len(todo) and m >= (cutoff + 1) // 2:  # the cutoff blocks were solved
+            i = todo[0]
+            cause = (
+                f"round-off 64 x {roundoff[i]:.3e} reaches the tolerance"
+                if 64 * roundoff[i] >= SWEEP_CONVERGENCE_TOL
+                else f"the cutoff-{cutoff} blocks do not bound them to the untruncated operator"
             )
-    return SpectrumSweep(xi_grid, all_ex, all_par)
+            raise ConvergenceError(
+                f"lowest {n_levels} levels not converged at xi={xi_grid[i]:g} "
+                f"within {SWEEP_CONVERGENCE_TOL:g}: {cause}"
+            )
+        m *= 2
+    return SpectrumSweep(xi_grid, levels - levels[:, :1], parities)
 
 
 def _sweep_grid(K: float, xi_grid, cutoff: int, n_levels: int) -> np.ndarray:
@@ -306,6 +299,8 @@ def _sweep_grid(K: float, xi_grid, cutoff: int, n_levels: int) -> np.ndarray:
     # propagates to both); an empty grid still checks K and the cutoff.
     for xi in (xi_grid.min(initial=0.0), xi_grid.max(initial=0.0)):
         KerrCatParams(xi=float(xi), K=K, cutoff=cutoff)
+    if K < 0:
+        raise ParamError("K", f"K must be >= 0: for K < 0 there are no lowest levels, got {K:g}")
     if not 1 <= _integer(n_levels, "n_levels") <= cutoff:
         raise ParamError("n_levels", f"n_levels={n_levels} must be in 1..{cutoff}, the cutoff")
     return xi_grid

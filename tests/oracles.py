@@ -3,10 +3,11 @@
 Each computes what a run path computes, the slow and obvious way, at small
 sizes: ``qpe_circuit`` for ``run_qpe``, ``sbm_projector`` for
 ``map_hamiltonian``, ``parity_split`` for ``kerrcat._parity_blocks``,
-``labelled_levels`` for the levels of ``excitation_sweep`` and for its
-``cutoff + 10`` convergence rule, ``perfect_matching_count`` for ``hafnian``
-on 0/1 graphs, ``franck_condon_factor`` for ``fcf_table``, and ``lifted_gate``
-for ``gate_matrix`` of a single-mode gate.
+``labelled_levels`` for the levels of ``excitation_sweep`` (at 400 rows it
+stands for the untruncated operator that the sweep certifies its levels
+against), ``perfect_matching_count`` for ``hafnian`` on 0/1 graphs,
+``franck_condon_factor`` for ``fcf_table``, and ``lifted_gate`` for
+``gate_matrix`` of a single-mode gate.
 """
 
 import math
@@ -108,7 +109,8 @@ def parity_split(H: Operator) -> tuple[Operator, Operator]:
 
 
 def labelled_levels(K: float, xi: float, cutoff: int, n_levels: int):
-    """The lowest ``n_levels`` energies of both whole parity blocks, merged, with labels."""
+    """The lowest ``n_levels`` energies of both whole parity blocks at ``cutoff``,
+    merged, with labels."""
     p = KerrCatParams(xi=xi, K=K, cutoff=cutoff)
     even, odd = (np.linalg.eigvalsh(block) for block in _parity_blocks(p))
     (roundoff,) = _roundoff(*_bands(K, [xi], cutoff))

@@ -289,6 +289,12 @@ BAD_PARAMS = [
     ("qpe", {"d": 0, "t": 0}, errors("params.d")),
     ("kerrcat-sweep", {"K": NAN, "n_levels": 0}, errors("params.K")),
     ("doublewell", {"k4": -1.0, "cutoff": "x"}, errors("params.cutoff")),
+    # sizes refused before anything of that size is formed: a register past
+    # the index type, and a QPE register whose exact size is a huge power
+    ("vibronic", {"cutoff": 10**22}, errors("params.cutoff")),
+    ("qpe", {"t": 10**30}, errors("params.t")),
+    # a Kerr-cat spectrum unbounded below has no lowest levels
+    ("kerrcat-sweep", {"K": -1.0}, errors("params.K"), lambda: sweep(K=-1.0)),
 ]
 
 BAD_TOP_LEVEL = [

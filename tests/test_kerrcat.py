@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import tracemalloc
@@ -145,30 +146,50 @@ def test_sweep_convergence_error_names_xi():
         excitation_sweep(1.0, [0.0, 4.0], cutoff=10, n_levels=8)
 
 
-def sweep_oracle(K, grid, cutoff, n_levels):
-    """excitation_sweep with every grid point solved again at cutoff + 10."""
-    ex, par = [], []
-    for xi in grid:
-        levels, labels = labelled_levels(K, xi, cutoff, n_levels)
-        check, _ = labelled_levels(K, xi, cutoff + 10, n_levels)
-        drift = np.abs((levels - levels[0]) - (check - check[0])).max()
-        if drift > kerrcat.SWEEP_CONVERGENCE_TOL:
-            raise ConvergenceError(
-                f"lowest {n_levels} levels not converged at xi={xi:g}: "
-                f"cutoff {cutoff} vs {cutoff + 10} differ by {drift:.3e}"
-            )
-        ex.append(levels - levels[0])
-        par.append(labels)
-    return kerrcat.SpectrumSweep(grid, ex, par)
+@functools.cache
+def reference(K, xi, cutoff=400):
+    """The lowest 16 levels and labels of the whole cutoff parity blocks; at
+    400 rows they stand for the untruncated operator's."""
+    return labelled_levels(K, xi, cutoff, 16)
 
 
-def sweep_outcome(sweep, *args):
+def labels_agree(parities, levels, labels, gap):
+    """Whether ``parities`` are the reference ``labels``, up to order within
+    each cluster of reference levels less than ``gap`` apart. A 1e-8 bound
+    does not fix the order of levels closer than that (the cat pair, split
+    only by truncation in a small block), so a cluster's printed labels need
+    only be some of its reference labels; a cluster that runs past the
+    reference's levels is not checked."""
+    cluster = np.r_[0, np.cumsum(np.diff(levels) >= gap)]
+    printed = cluster[: len(parities)]
+    return all(
+        (parities[printed == c] == p).sum() <= (labels[cluster == c] == p).sum()
+        for c in set(printed) - {cluster[-1]}
+        for p in (1, -1)
+    )
+
+
+def check_sweep(K, grid, cutoff, n_levels):
+    """excitation_sweep against the 400-row reference: a sweep of K < 0 is
+    refused by name; an accepted point is within the tolerance of the reference,
+    and so are its parities; a sweep whose whole cutoff blocks are further than
+    that from the reference is refused."""
+    tol = kerrcat.SWEEP_CONVERGENCE_TOL
     try:
         with np.errstate(over="raise", invalid="raise"):
-            result = sweep(*args)
-    except ConvergenceError as exc:
-        return str(exc)
-    return result.excitations.tobytes(), result.parities.tobytes()
+            sweep = excitation_sweep(K, grid, cutoff, n_levels)
+    except ParamError as exc:
+        assert K < 0 and exc.name == "K"
+        return
+    except ConvergenceError:
+        return
+    assert K >= 0
+    for xi, excitations, parities in zip(grid, sweep.excitations, sweep.parities):
+        levels, labels = reference(K, xi)
+        assert np.abs(excitations - (levels[:n_levels] - levels[0])).max() <= tol
+        assert labels_agree(parities, levels, labels, 2 * tol)
+        truncated = reference(K, xi, cutoff)[0][:n_levels]
+        assert np.abs(truncated - levels[:n_levels]).max() <= tol
 
 
 SCAN_XI = np.linspace(0.0, 6.0, 25)
@@ -178,23 +199,19 @@ SCAN_GRIDS = [[xi] for xi in SCAN_XI] + [SCAN_XI]
 @pytest.mark.parametrize("n_levels", [1, 2, 6, 12])
 @pytest.mark.parametrize("K", [-1.0, 0.0, 0.5, 1.0, 1.5])
 def test_sweep_equals_solving_every_point_again(K, n_levels):
-    # The Sturm count may clear a point only where the exact rule passes it;
-    # every other point gets the exact rule itself.
     for cutoff in range(max(4, n_levels), 61, 4):
         for grid in SCAN_GRIDS:
-            args = (K, grid, cutoff, n_levels)
-            assert sweep_outcome(excitation_sweep, *args) == sweep_outcome(sweep_oracle, *args)
+            check_sweep(K, grid, cutoff, n_levels)
 
 
 @pytest.mark.parametrize("n_levels", [1, 12])
 @pytest.mark.parametrize("K", [-1.0, 0.0, 1.0])
 def test_sweep_equals_solving_every_point_again_past_32_rows(K, n_levels):
     # Parity blocks of 35 to 101 rows, unequal at cutoff 201: the sweep takes
-    # leading blocks of them, and for K <= 0 it doubles them to the whole block.
+    # leading blocks of them, doubled up to the whole block where needed.
     for cutoff in (70, 120, 200, 201):
         for grid in ([6.0], SCAN_XI):
-            args = (K, grid, cutoff, n_levels)
-            assert sweep_outcome(excitation_sweep, *args) == sweep_outcome(sweep_oracle, *args)
+            check_sweep(K, grid, cutoff, n_levels)
 
 
 @pytest.mark.parametrize(
@@ -203,17 +220,15 @@ def test_sweep_equals_solving_every_point_again_past_32_rows(K, n_levels):
      (1.0, [1e300], 20), (1e150, [0.0, 1.0], 30), (1e-300, [1.0, 1e300], 30)],
 )
 def test_sweep_equals_solving_every_point_again_at_extremes(K, grid, cutoff):
-    args = (K, grid, cutoff, 4)
-    assert sweep_outcome(excitation_sweep, *args) == sweep_outcome(sweep_oracle, *args)
+    with np.errstate(over="raise", invalid="raise"), pytest.raises(ConvergenceError):
+        excitation_sweep(K, grid, cutoff, 4)
 
 
 @pytest.mark.parametrize("K, grid, cutoff", [(1e3, np.linspace(15.0, 17.5, 11), 60), (2e3, [18.1], 64)])
 def test_sweep_equals_solving_every_point_again_at_coarse_roundoff(K, grid, cutoff):
-    # Here 64 roundoff exceeds tol/2: the re-solve must not accept a leading
-    # block at that round-off, or its 32 rows, shared with the cutoff block,
-    # stand in for the cutoff + 10 block and change the drift.
-    args = (K, grid, cutoff, 4)
-    assert sweep_outcome(excitation_sweep, *args) == sweep_outcome(sweep_oracle, *args)
+    # Here 64 roundoff reaches the tolerance: no Sturm count can certify 1e-8.
+    with pytest.raises(ConvergenceError, match="round-off"):
+        excitation_sweep(K, grid, cutoff, 4)
 
 
 def test_fig4_sweep_solves_each_parity_block_once(monkeypatch):
@@ -243,19 +258,28 @@ def tridiagonal(d, e):
 @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150, 1e200])
 def test_sturm_count_matches_eigvalsh(scale):
     rng = np.random.default_rng(11)
+    lowering = np.random.default_rng(12)
     for n in (1, 2, 5, 17):
         d = scale * rng.normal(size=n)
         e = scale * rng.normal(size=(4, n - 1))
         e[1] = 0.0
         e[2, ::2] = 0.0
-        evals = [np.linalg.eigvalsh(tridiagonal(d, row)) for row in e]
-        # Between, below and above the eigenvalues the count is exact.
-        x = np.array([np.r_[ev[0] - scale, (ev[:-1] + ev[1:]) / 2, ev[-1] + scale] for ev in evals])
+        # The last diagonal entry lowered by c^2 / gap, as large as the matrix:
+        # at scale 1e200, c^2 alone overflows.
+        c, gap = scale * lowering.normal(size=4), scale * lowering.uniform(0.5, 2.0, size=4)
+        for lowered, by in ((None, np.zeros(4)), ((c, gap), c * (c / gap))):
+            evals = [
+                np.linalg.eigvalsh(tridiagonal(np.r_[d[:-1], d[-1] - b], row))
+                for row, b in zip(e, by)
+            ]
+            # Between, below and above the eigenvalues the count is exact.
+            x = np.array([np.r_[ev[0] - scale, (ev[:-1] + ev[1:]) / 2, ev[-1] + scale] for ev in evals])
+            with np.errstate(over="raise", invalid="raise"):
+                counts = kerrcat._count_below(d, e, x, lowered)
+            assert (counts == np.arange(n + 1)).all()
         with np.errstate(over="raise", invalid="raise"):
-            counts = kerrcat._count_below(d, e, x)
             # At a diagonal entry of the decoupled matrix a pivot is exactly zero.
             (ties,) = kerrcat._count_below(d, e[1:2], d[None, :])
-        assert (counts == np.arange(n + 1)).all()
         assert ((d[:, None] < d).sum(axis=0) <= ties).all()
         assert (ties <= (d[:, None] <= d).sum(axis=0)).all()
 
