@@ -421,7 +421,7 @@ def _run_kerrcat(cfg: dict) -> str:
     _write_csv(cfg["output"], ["xi", "level_index", "parity", "excitation_energy"], rows)
     summary = f"kerrcat-sweep: wrote {cfg['output']} ({len(grid)} grid points, {n_levels} levels)"
     if p["dos_xi"] is not None:
-        params = KerrCatParams(xi=p["dos_xi"], K=K, cutoff=max(cutoff, 120))
+        params = KerrCatParams(xi=p["dos_xi"], K=K, cutoff=cutoff)
         dos = metapotential_dos(params, bins=p["dos_bins"], span=p["dos_span"])
         dos.write_csv(p["dos_output"], header=("energy", "density"))
         peak = dos.peak_energy()  # the ESQPT estimate, as in esqpt_energy

@@ -145,11 +145,6 @@ class StateVector:
         axes = tuple(k for k in range(self.register.nmodes) if k != j)
         return probs.sum(axis=axes)
 
-    def overlap(self, other: "StateVector") -> complex:
-        if other.register != self.register:
-            raise ValueError("states live on different registers")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 def basis_state(reg: QumodeRegister, occupations: FockIndex) -> StateVector:
     """The Fock basis state ``|n_1, ..., n_N>``."""

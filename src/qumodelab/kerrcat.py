@@ -156,14 +156,6 @@ def kerrcat_hamiltonian(p: KerrCatParams) -> Operator:
     return Operator(H, QumodeRegister((p.cutoff,)))
 
 
-def _parity_blocks(p: KerrCatParams) -> tuple[np.ndarray, np.ndarray]:
-    """The even and odd Fock-level blocks of :func:`kerrcat_hamiltonian`, as
-    tridiagonal matrices built from the bands without the full matrix. Their
-    oracle is ``parity_split`` in ``tests/oracles.py``."""
-    diagonal, drive = _bands(p.K, p.xi, p.cutoff)
-    return tuple(_symmetric_band_matrix(diagonal[s::2], drive[s::2], 1) for s in (0, 1))
-
-
 def _roundoff(diagonal: np.ndarray, drive: np.ndarray) -> np.ndarray:
     """eps times a Gershgorin bound on the spectrum of the Hamiltonian with these
     bands, one per drive row; summed in quarters so that it stays finite."""
@@ -324,17 +316,20 @@ def pair_gaps(sweep: SpectrumSweep) -> list[np.ndarray]:
 def metapotential_dos(p: KerrCatParams, bins: int = MIN_DOS_BINS, span: float = 6.0) -> Spectrum:
     """Excitation-energy DOS over the metapotential region.
 
-    Histograms E' = E - E0 over the window ``[0, span * K * xi^2]``, i.e. the
-    double well (depth K xi^2) plus a comparable range above the barrier. A
-    uniform histogram over the full truncated spectrum cannot expose the
-    ESQPT pileup because the level spacing grows linearly with n, which
-    stacks the lowest bin regardless of binning; the windowed histogram peaks
-    at the barrier energy instead.
+    Histograms E' = E - E0 over the window ``[0, span * K * xi^2]``: the double
+    well (depth K xi^2) plus a comparable range above the barrier, where the DOS
+    peaks (the ESQPT). Over the whole truncated spectrum the level spacing,
+    which grows linearly with n, would stack the lowest bin at any binning.
 
-    The window needs a finite span > 0, xi > 0 and K > 0: it is empty at K = 0,
-    and for K < 0 the spectrum is inverted, its lowest levels at the truncation
-    edge. A window whose top underflows is refused; one whose top overflows
-    raises ``OverflowError``.
+    Its levels are :func:`excitation_sweep`'s at ``p.cutoff``, within 1e-8 of the
+    untruncated operator's. The ground level is -K xi^2 exactly; by Cauchy
+    interlacing, the cutoff parity blocks' Sturm count below the window top is a
+    lower bound, so the lowest ``1 + count`` levels cover the window once the last
+    lies above it. Otherwise, past ``cutoff`` levels, or with a level within 1e-8
+    of an interior bin edge or the top, it raises :class:`ConvergenceError`.
+
+    The window needs a finite span > 0, xi > 0 and K > 0; a top that underflows
+    is refused, and one that overflows raises ``OverflowError``.
     """
     top = _dos_window(p, span)
     if math.isinf(top):
@@ -343,9 +338,22 @@ def metapotential_dos(p: KerrCatParams, bins: int = MIN_DOS_BINS, span: float = 
             f"span={span:g}, K={p.K:g}, xi={p.xi:g}"
         )
     _check_bins(bins)
-    evals = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in _parity_blocks(p)]))
-    # E' = 0, the ground level, is always inside the window [0, top].
-    counts, edges = np.histogram(evals - evals[0], bins=bins, range=(0.0, top))
+    K, xi, cutoff, tol = float(p.K), float(p.xi), p.cutoff, SWEEP_CONVERGENCE_TOL
+    diagonal, (drive,) = _bands(K, [xi], cutoff // 2 * 2)  # both parities, cutoff // 2 rows
+    x = np.full((2, 1), top - K * xi * xi + tol)
+    n = 1 + _count_below(diagonal.reshape(-1, 2).T, drive.reshape(-1, 2).T, x).sum()
+    refused = f"DOS at xi={xi:g} not certified at cutoff {cutoff}"
+    if n > cutoff:
+        raise ConvergenceError(f"{refused}: its window holds at least {cutoff} levels")
+    try:
+        ex = excitation_sweep(K, [xi], cutoff, n).excitations[0]
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"{refused}: {exc}") from None
+    counts, edges = np.histogram(ex, bins=bins, range=(0.0, top))
+    if not ex[-1] > top + tol:
+        raise ConvergenceError(f"{refused}: level {n - 1} is not above its top")
+    if (np.abs(ex[:, None] - edges[1:]) <= tol).any():
+        raise ConvergenceError(f"{refused}: a level lies within {tol:g} of a bin edge")
     centers = 0.5 * (edges[:-1] + edges[1:])
     return Spectrum(centers, counts / counts.sum())
 

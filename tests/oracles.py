@@ -2,12 +2,13 @@
 
 Each computes what a run path computes, the slow and obvious way, at small
 sizes: ``qpe_circuit`` for ``run_qpe``, ``sbm_projector`` for
-``map_hamiltonian``, ``parity_split`` for ``kerrcat._parity_blocks``,
-``labelled_levels`` for the levels of ``excitation_sweep`` (at 400 rows it
-stands for the untruncated operator that the sweep certifies its levels
-against), ``perfect_matching_count`` for ``hafnian`` on 0/1 graphs,
-``franck_condon_factor`` for ``fcf_table``, and ``lifted_gate`` for
-``gate_matrix`` of a single-mode gate.
+``map_hamiltonian``, ``parity_split`` for the parity blocks that
+``excitation_sweep`` and ``metapotential_dos`` build from the bands,
+``labelled_levels`` for the levels of ``excitation_sweep`` and
+``dos_reference`` for ``metapotential_dos`` (at 400 rows they stand for the
+untruncated operator that both certify against), ``perfect_matching_count``
+for ``hafnian`` on 0/1 graphs, ``franck_condon_factor`` for ``fcf_table``,
+and ``lifted_gate`` for ``gate_matrix`` of a single-mode gate.
 """
 
 import math
@@ -23,12 +24,14 @@ from qumodelab import (
     Operator,
     QpeSpec,
     QumodeRegister,
+    Spectrum,
     flat_index,
+    kerrcat_hamiltonian,
 )
 from qumodelab.fock import _single_mode_annihilation
 from qumodelab.gates import _single_mode_unitary
 from qumodelab.graphs import MAX_MATCHING_SIZE, _as_symmetric
-from qumodelab.kerrcat import _bands, _merged_levels, _parity_blocks, _roundoff
+from qumodelab.kerrcat import _bands, _merged_levels, _roundoff
 from qumodelab.sbm import _check_mapping_args
 
 PARITY_TOL = 1e-9
@@ -111,10 +114,22 @@ def parity_split(H: Operator) -> tuple[Operator, Operator]:
 def labelled_levels(K: float, xi: float, cutoff: int, n_levels: int):
     """The lowest ``n_levels`` energies of both whole parity blocks at ``cutoff``,
     merged, with labels."""
-    p = KerrCatParams(xi=xi, K=K, cutoff=cutoff)
-    even, odd = (np.linalg.eigvalsh(block) for block in _parity_blocks(p))
+    even, odd = _parity_levels(KerrCatParams(xi=xi, K=K, cutoff=cutoff))
     (roundoff,) = _roundoff(*_bands(K, [xi], cutoff))
     return _merged_levels(even, odd, roundoff, n_levels)
+
+
+def dos_reference(K: float, xi: float, bins: int, span: float, cutoff: int = 400) -> Spectrum:
+    """The DOS of ``metapotential_dos``, histogrammed from both whole parity
+    blocks at ``cutoff``."""
+    evals = np.sort(np.concatenate(_parity_levels(KerrCatParams(xi=xi, K=K, cutoff=cutoff))))
+    counts, edges = np.histogram(evals - evals[0], bins=bins, range=(0.0, span * K * xi**2))
+    return Spectrum(0.5 * (edges[:-1] + edges[1:]), counts / counts.sum())
+
+
+def _parity_levels(p: KerrCatParams) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues of the even and odd blocks of ``kerrcat_hamiltonian(p)``."""
+    return tuple(np.linalg.eigvalsh(block.entries) for block in parity_split(kerrcat_hamiltonian(p)))
 
 
 def _pairings(items: tuple[int, ...]):

@@ -709,8 +709,28 @@ def test_underflowing_dos_window_is_refused_at_dos_xi(in_tmp, dos_xi):
     assert not Path("out.csv").exists()
 
 
-def test_integer_dos_window_beyond_int64_runs_as_a_float_window(in_tmp):
+def test_integer_dos_window_beyond_int64_runs_as_a_float_window(in_tmp, capsys):
+    # The window [0, 6e200] holds more levels than the cutoff-30 blocks certify.
     params = dict(SMALL_PARAMS["kerrcat-sweep"], K=1, dos_xi=10**100, dos_span=6)
     path = write_config(in_tmp, {"experiment": "kerrcat-sweep", "params": params, "output": "out.csv"})
-    assert cli.run(path) == 0
-    assert all(0 <= x <= 6e200 for x in _numbers("dos.csv")[::2])
+    assert cli.run(path) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: convergence: DOS at xi=1e+100 not certified at cutoff 30: "
+    )
+    assert not Path("dos.csv").exists()
+
+
+@pytest.mark.parametrize("cutoff", [60, 200])
+def test_fig4_dos_at_xi_40_is_certified_or_refused(in_tmp, capsys, cutoff):
+    # Solved at a hidden cutoff 120, this DOS used to print a first bin of 0.153846153846.
+    cfg = json.loads(Path(cli.demo_path("kerrcat-fig4")).read_text())
+    cfg["params"].update(dos_xi=40, cutoff=cutoff)
+    rc = cli.run(write_config(in_tmp, cfg))
+    err = capsys.readouterr().err
+    if cutoff == 60:
+        assert rc == 2
+        assert err.startswith("error: convergence: DOS at xi=40 not certified at cutoff 60: ")
+        assert not Path("kerrcat_dos.csv").exists()
+    else:
+        assert rc == 0, err
+        assert Path("kerrcat_dos.csv").read_text().splitlines()[1] == "480,0.147368421053"

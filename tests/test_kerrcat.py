@@ -26,7 +26,7 @@ from qumodelab import (
 )
 from qumodelab import cli, kerrcat
 
-from oracles import labelled_levels, parity_split
+from oracles import dos_reference, labelled_levels, parity_split
 
 
 def eig(H):
@@ -561,25 +561,46 @@ def test_sweep_matches_complex_eigensolver(cutoff):
     assert np.array_equal(sweep.parities, oracle.parities)
 
 
-@pytest.mark.parametrize("cutoff", [4, 5, 60, 200, 201, 210])
-def test_parity_blocks_equal_parity_split(cutoff):
-    # The sweep's blocks, built from the bands, against the full matrix's split.
-    for K in (1.0, -0.7, 1.3):
-        for xi in (0.0, 0.7, 5.5):
-            p = KerrCatParams(xi=xi, K=K, cutoff=cutoff)
-            blocks = kerrcat._parity_blocks(p)
-            for block, oracle in zip(blocks, parity_split(kerrcat_hamiltonian(p))):
-                assert block.dtype == oracle.entries.dtype == np.float64
-                assert block.shape == oracle.entries.shape
-                assert block.tobytes() == oracle.entries.tobytes()
-
-
 @pytest.mark.parametrize("xi", [1.0, 2.5, 4.0])
 def test_metapotential_dos_equals_full_solve(xi):
     p = KerrCatParams(xi=xi, K=1.0, cutoff=90)
     evals = eig(kerrcat_hamiltonian(p))
     counts, _ = np.histogram(evals - evals[0], bins=12, range=(0.0, 6.0 * xi**2))
     assert np.array_equal(metapotential_dos(p, bins=12).weights, counts / counts.sum())
+
+
+@pytest.mark.parametrize("K", [0.5, 1.0, 2.0])
+def test_dos_equals_the_400_row_reference_or_is_refused(K):
+    # Cutoff 16 leaves every window uncertified; cutoff 200 certifies each one.
+    outcomes = []
+    for xi in (2.0, 6.0, 10.0, 28.0, 40.0):
+        reference = dos_reference(K, xi, bins=10, span=6.0)
+        for cutoff in (16, 60, 120, 200):
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    dos = metapotential_dos(KerrCatParams(xi=xi, K=K, cutoff=cutoff))
+            except ConvergenceError as exc:
+                assert f"DOS at xi={xi:g} not certified at cutoff {cutoff}: " in str(exc)
+                outcomes.append((xi, cutoff, "refused"))
+                continue
+            assert np.array_equal(dos.energies, reference.energies)
+            assert np.array_equal(dos.weights, reference.weights)
+            outcomes.append((xi, cutoff, "equal"))
+    assert all(o == "refused" for xi, cutoff, o in outcomes if cutoff == 16)
+    assert all(o == "equal" for xi, cutoff, o in outcomes if cutoff == 200)
+
+
+def test_dos_refuses_a_level_on_an_interior_bin_edge():
+    # The 5th of 10 edges, at half the window top, falls on a certified level.
+    K, xi = 1.0, 2.0
+    level = excitation_sweep(K, [xi], 60, 8).excitations[0, 6]
+    span = 2 * level / (K * xi**2)
+    with pytest.raises(ConvergenceError, match=f"within {kerrcat.SWEEP_CONVERGENCE_TOL:g} of a bin edge"):
+        metapotential_dos(KerrCatParams(xi=xi, K=K, cutoff=60), bins=10, span=span)
+    # Off the edges, the same level is binned as the reference bins it.
+    span *= 1.01
+    dos = metapotential_dos(KerrCatParams(xi=xi, K=K, cutoff=60), bins=10, span=span)
+    assert np.array_equal(dos.weights, dos_reference(K, xi, bins=10, span=span).weights)
 
 
 def test_spectra_paths_raise_no_warnings():
