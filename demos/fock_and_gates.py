@@ -16,8 +16,8 @@ from qumodelab import (
     apply_circuit,
     basis_state,
     commutator,
+    compose_circuit,
     displacement,
-    gate_matrix,
     squeezing,
 )
 
@@ -33,14 +33,14 @@ print("edge entry (d-1, d-1):", resid[d - 1, d - 1].real, " (the truncation scar
 print("\n== a displaced vacuum is a coherent state ==")
 alpha = 0.8
 reg16 = QumodeRegister((16,))
-coherent = gate_matrix(displacement(1, alpha), reg16).apply(basis_state(reg16, (0,)))
+coherent = compose_circuit([displacement(1, alpha)], reg16).apply(basis_state(reg16, (0,)))
 poisson = np.exp(-(alpha**2)) * alpha ** (2 * np.arange(6)) / [1, 1, 2, 6, 24, 120]
 print("level  simulated      Poisson law")
 for n in range(6):
     print(f"  {n}    {coherent.probabilities()[n]:.9f}    {poisson[n]:.9f}")
 
 print("\n== squeezing the vacuum populates even levels only ==")
-sq = gate_matrix(squeezing(1, 0.6), reg16).apply(basis_state(reg16, (0,)))
+sq = compose_circuit([squeezing(1, 0.6)], reg16).apply(basis_state(reg16, (0,)))
 probs = sq.probabilities()
 print("odd-level population:", probs[1::2].sum())
 print("vacuum overlap^2 vs 1/cosh(r):", probs[0], 1 / np.cosh(0.6))

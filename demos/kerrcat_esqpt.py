@@ -14,7 +14,6 @@ from qumodelab import (
     DoubleWellParams,
     KerrCatParams,
     doublewell_hamiltonian,
-    esqpt_energy,
     excitation_sweep,
     metapotential_dos,
     pair_gaps,
@@ -33,7 +32,7 @@ params = KerrCatParams(xi=5.0, K=1.0, cutoff=120)
 dos = metapotential_dos(params, bins=10, span=6.0)
 for e, w in zip(dos.energies, dos.weights):
     print(f"  E' = {e:6.1f}   {'#' * int(60 * w / dos.weights.max())}")
-print("DOS-peak estimate of the critical energy:", esqpt_energy(params))
+print("DOS-peak estimate of the critical energy:", dos.peak_energy())
 print("barrier of the metapotential sits at K xi^2 =", params.K * params.xi**2)
 
 print("\n== chemical double well: tunneling doublet ==")

@@ -413,6 +413,10 @@ def _run_kerrcat(cfg: dict) -> str:
     p = cfg["params"]
     K, grid, cutoff, n_levels = p["K"], p["xi_grid"], p["cutoff"], p["n_levels"]
     sweep = excitation_sweep(K, grid, cutoff, n_levels)
+    # The DOS comes before either file, so that a refused DOS writes nothing.
+    if p["dos_xi"] is not None:
+        params = KerrCatParams(xi=p["dos_xi"], K=K, cutoff=cutoff)
+        dos = metapotential_dos(params, bins=p["dos_bins"], span=p["dos_span"])
     rows = []
     for i, xi in enumerate(sweep.xi):
         for level in range(n_levels):
@@ -421,10 +425,8 @@ def _run_kerrcat(cfg: dict) -> str:
     _write_csv(cfg["output"], ["xi", "level_index", "parity", "excitation_energy"], rows)
     summary = f"kerrcat-sweep: wrote {cfg['output']} ({len(grid)} grid points, {n_levels} levels)"
     if p["dos_xi"] is not None:
-        params = KerrCatParams(xi=p["dos_xi"], K=K, cutoff=cutoff)
-        dos = metapotential_dos(params, bins=p["dos_bins"], span=p["dos_span"])
         dos.write_csv(p["dos_output"], header=("energy", "density"))
-        peak = dos.peak_energy()  # the ESQPT estimate, as in esqpt_energy
+        peak = dos.peak_energy()
         summary += f"; DOS at xi={params.xi:g} -> {p['dos_output']} (peak near E'={peak:g})"
     return summary
 

@@ -15,11 +15,6 @@ class ParamError(ValueError):
         self.name = name
 
 
-class ContractViolation(ValueError):
-    """An input broke a numerical contract (e.g. a matrix that must be
-    Hermitian or unitary within tolerance is not)."""
-
-
 class ConvergenceError(RuntimeError):
     """A computation could not be certified converged at the requested
     truncation (e.g. eigenvalues still moving when the cutoff is raised)."""

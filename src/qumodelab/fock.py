@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, ParamError
+from .errors import ParamError
 
 __all__ = [
     "FockIndex",
@@ -189,9 +189,6 @@ class Operator:
     def adjoint(self) -> "Operator":
         return Operator(self.entries.conj().T, self.register)
 
-    def hermiticity_defect(self) -> float:
-        return float(np.abs(self.entries - self.entries.conj().T).max())
-
     def apply(self, psi: StateVector) -> StateVector:
         self._check_register(psi.register)
         return StateVector(self.entries @ psi.amplitudes, self.register)
@@ -274,7 +271,7 @@ def _check_hermitian(m: np.ndarray, tol: float) -> None:
     """Refuse a Hamiltonian matrix with ``max |H - Hdag| > tol``."""
     defect = float(np.abs(m - m.conj().T).max())
     if defect > tol:
-        raise ContractViolation(f"Hamiltonian is not Hermitian: max |H - Hdag| = {defect:.3e}")
+        raise ParamError("entries", f"Hamiltonian is not Hermitian: max |H - Hdag| = {defect:.3e}")
 
 
 def _propagate(H: np.ndarray, psi: np.ndarray, times) -> np.ndarray:

@@ -44,7 +44,6 @@ __all__ = [
     "rotation",
     "squeezing",
     "beamsplitter",
-    "gate_matrix",
     "beamsplitter_action",
     "compose_circuit",
     "apply_circuit",
@@ -130,21 +129,13 @@ def _single_mode_unitary(kind: str, param: complex, d: int) -> np.ndarray:
     return _expm_antihermitian(G)
 
 
-def gate_matrix(gate: GateSpec, reg: QumodeRegister) -> Operator:
-    """Unitary matrix of a gate on the full register basis."""
-    return compose_circuit([gate], reg)
-
-
 def beamsplitter_action(
     theta: float, phi: float, reg: QumodeRegister, modes: tuple[int, int]
 ) -> Operator:
     """Two-mode beamsplitter unitary; conserves the total photon number of
-    the two modes it couples."""
+    the two modes it couples. Its parameters pass :class:`GateSpec`'s checks."""
     mode_j, mode_k = modes
-    if mode_j == mode_k:
-        raise ValueError("beamsplitter modes must be distinct")
-    if not (math.isfinite(theta) and math.isfinite(phi)):
-        raise ValueError("non-finite beamsplitter parameter")
+    beamsplitter(mode_j, mode_k, theta, phi)
     aj = _single_mode_annihilation(reg.cutoffs[reg.check_mode(mode_j)])
     ak = _single_mode_annihilation(reg.cutoffs[reg.check_mode(mode_k)])
     # e^{-i phi} a_j adag_k is the adjoint of e^{i phi} adag_j a_k.

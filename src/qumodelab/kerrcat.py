@@ -42,7 +42,6 @@ __all__ = [
     "excitation_sweep",
     "pair_gaps",
     "metapotential_dos",
-    "esqpt_energy",
     "doublewell_hamiltonian",
 ]
 
@@ -320,6 +319,8 @@ def metapotential_dos(p: KerrCatParams, bins: int = MIN_DOS_BINS, span: float = 
     well (depth K xi^2) plus a comparable range above the barrier, where the DOS
     peaks (the ESQPT). Over the whole truncated spectrum the level spacing,
     which grows linearly with n, would stack the lowest bin at any binning.
+    The peak bin's center, :meth:`Spectrum.peak_energy`, estimates the ESQPT
+    energy to one bin width; the barrier sits at E' = K xi^2.
 
     Its levels are :func:`excitation_sweep`'s at ``p.cutoff``, within 1e-8 of the
     untruncated operator's. The ground level is -K xi^2 exactly; by Cauchy
@@ -387,15 +388,6 @@ def _check_span(span: float) -> None:
 def _check_bins(bins: int) -> None:
     if _integer(bins, "bins") < MIN_DOS_BINS:
         raise ParamError("bins", f"at least {MIN_DOS_BINS} bins are required, got {bins}")
-
-
-def esqpt_energy(p: KerrCatParams, bins: int = MIN_DOS_BINS, span: float = 6.0) -> float:
-    """Estimate of the ESQPT excitation energy: the DOS-peak bin center.
-
-    The resolution is one bin width; the underlying critical energy of the
-    metapotential barrier sits at E' = K xi^2.
-    """
-    return metapotential_dos(p, bins=bins, span=span).peak_energy()
 
 
 def doublewell_hamiltonian(p: DoubleWellParams) -> Operator:

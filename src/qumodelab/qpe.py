@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, ParamError
+from .errors import ParamError
 from .fock import Operator, StateVector, _integer
 
 __all__ = [
@@ -40,10 +40,10 @@ UNITARITY_TOL = 1e-9
 EIGENSTATE_TOL = 1e-8
 
 
-def _check_unitary(U: np.ndarray, what: str = "matrix") -> None:
+def _check_unitary(U: np.ndarray) -> None:
     defect = np.abs(U.conj().T @ U - np.eye(U.shape[0])).max()
     if defect > UNITARITY_TOL:
-        raise ContractViolation(f"{what} is not unitary: defect {defect:.3e}")
+        raise ParamError("U", f"U is not unitary: defect {defect:.3e}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,15 +61,15 @@ class QpeSpec:
             raise ValueError("U must act on a single qudit of dimension d")
         if self.eigenstate.register.cutoffs != (self.d,):
             raise ValueError("eigenstate must live on a single qudit of dimension d")
-        _check_unitary(self.U.entries, "U")
+        _check_unitary(self.U.entries)
         psi = self.eigenstate.amplitudes
         if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
             raise ValueError("eigenstate must be normalized")
         lam = complex(np.vdot(psi, self.U.entries @ psi))
         residual = np.linalg.norm(self.U.entries @ psi - lam * psi)
         if residual > EIGENSTATE_TOL:
-            raise ContractViolation(
-                f"state is not an eigenstate of U: residual {residual:.3e}"
+            raise ParamError(
+                "eigenstate", f"state is not an eigenstate of U: residual {residual:.3e}"
             )
 
     @property

@@ -8,7 +8,7 @@ sizes: ``qpe_circuit`` for ``run_qpe``, ``sbm_projector`` for
 ``dos_reference`` for ``metapotential_dos`` (at 400 rows they stand for the
 untruncated operator that both certify against), ``perfect_matching_count``
 for ``hafnian`` on 0/1 graphs, ``franck_condon_factor`` for ``fcf_table``,
-and ``lifted_gate`` for ``gate_matrix`` of a single-mode gate.
+and ``lifted_gate`` for ``compose_circuit`` of one single-mode gate.
 """
 
 import math
@@ -17,7 +17,6 @@ from functools import reduce
 import numpy as np
 
 from qumodelab import (
-    ContractViolation,
     FockIndex,
     GateSpec,
     KerrCatParams,
@@ -100,9 +99,7 @@ def parity_split(H: Operator) -> tuple[Operator, Operator]:
     cross = (H.entries[np.ix_(even, odd)], H.entries[np.ix_(odd, even)])
     defect = 2.0 * max(np.abs(block).max(initial=0.0) for block in cross)
     if defect > PARITY_TOL:
-        raise ContractViolation(
-            f"Hamiltonian does not commute with parity: defect {defect:.3e}"
-        )
+        raise ValueError(f"Hamiltonian does not commute with parity: defect {defect:.3e}")
     even_block = H.entries[np.ix_(even, even)]
     odd_block = H.entries[np.ix_(odd, odd)]
     return (

@@ -25,6 +25,7 @@ from qumodelab import (
     beamsplitter,
     cli,
     commutator,
+    compose_circuit,
     computational_block,
     creation,
     displacement,
@@ -33,7 +34,6 @@ from qumodelab import (
     excitation_sweep,
     fcf_table,
     fmo_hamiltonian,
-    gate_matrix,
     hafnian,
     kerrcat_hamiltonian,
     map_hamiltonian,
@@ -95,22 +95,22 @@ def test_criterion_2_gaussian_gates():
             kind = trial % 4
             if kind == 0:
                 g = displacement(1, rng.uniform(0, 1) * np.exp(2j * np.pi * rng.uniform()))
-                U, keep = gate_matrix(g, reg1).entries, interior1
+                U, keep = compose_circuit([g], reg1).entries, interior1
             elif kind == 1:
                 g = rotation(1, rng.uniform(-np.pi, np.pi))
-                U, keep = gate_matrix(g, reg1).entries, interior1
+                U, keep = compose_circuit([g], reg1).entries, interior1
             elif kind == 2:
                 g = squeezing(1, rng.uniform(0, 1) * np.exp(2j * np.pi * rng.uniform()))
-                U, keep = gate_matrix(g, reg1).entries, interior1
+                U, keep = compose_circuit([g], reg1).entries, interior1
             else:
                 g = beamsplitter(1, 2, rng.uniform(0, 1), rng.uniform(0, 2 * np.pi))
-                U, keep = gate_matrix(g, reg2).entries, interior2
+                U, keep = compose_circuit([g], reg2).entries, interior2
             defect = U.conj().T @ U - np.eye(U.shape[0])
             assert np.abs(defect[np.ix_(keep, keep)]).max() < 1e-7
 
         reg30 = QumodeRegister((30,))
         for r in (0.1, 0.5, 1.0):
-            S = gate_matrix(squeezing(1, r), reg30).entries
+            S = compose_circuit([squeezing(1, r)], reg30).entries
             assert abs(abs(S[0, 0]) ** 2 - 1.0 / math.cosh(r)) < 1e-6
     t.report(2, "100 random gates unitary on the interior; squeezed-vacuum overlap matches 1/cosh r")
 

@@ -695,6 +695,7 @@ def test_overflowing_dos_window_is_named(in_tmp, capsys):
         "error: numerical: the metapotential window [0, span K xi^2] overflows at "
         "span=6, K=1, xi=1e+300\n"
     )
+    assert not Path("kerrcat_sweep.csv").exists()
 
 
 @pytest.mark.parametrize("dos_xi", [1e-300, 1e-162, 1e-155])
@@ -718,6 +719,7 @@ def test_integer_dos_window_beyond_int64_runs_as_a_float_window(in_tmp, capsys):
         "error: convergence: DOS at xi=1e+100 not certified at cutoff 30: "
     )
     assert not Path("dos.csv").exists()
+    assert not Path("out.csv").exists()
 
 
 @pytest.mark.parametrize("cutoff", [60, 200])
@@ -731,6 +733,7 @@ def test_fig4_dos_at_xi_40_is_certified_or_refused(in_tmp, capsys, cutoff):
         assert rc == 2
         assert err.startswith("error: convergence: DOS at xi=40 not certified at cutoff 60: ")
         assert not Path("kerrcat_dos.csv").exists()
+        assert not Path("kerrcat_sweep.csv").exists()
     else:
         assert rc == 0, err
         assert Path("kerrcat_dos.csv").read_text().splitlines()[1] == "480,0.147368421053"

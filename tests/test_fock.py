@@ -15,7 +15,6 @@ from qumodelab import (
     displacement,
     doktorov_operator,
     flat_index,
-    gate_matrix,
     identity,
     number,
     quadratures,
@@ -163,8 +162,8 @@ def test_quadratures():
     reg = QumodeRegister((6,))
     x, p = quadratures(reg, 1)
     assert abs(x.entries[0, 1] - np.sqrt(0.5)) < 1e-14
-    assert x.hermiticity_defect() < 1e-12
-    assert p.hermiticity_defect() < 1e-12
+    for q in (x, p):
+        assert np.abs(q.entries - q.entries.conj().T).max() < 1e-12
     # canonical commutator i*hbar on all levels except the truncated top
     comm = commutator(x, p).entries
     expected = 1j * np.eye(6)
@@ -331,7 +330,7 @@ def test_complex_sources_stay_complex():
         beamsplitter(1, 2, 0.5, 0.0),
     ]
     for gate in gates:
-        assert gate_matrix(gate, reg).entries.dtype == np.complex128, gate.kind
+        assert compose_circuit([gate], reg).entries.dtype == np.complex128, gate.kind
     assert compose_circuit(gates, reg).entries.dtype == np.complex128
     assert compose_circuit([], reg).entries.dtype == np.complex128
     assert identity(reg).entries.dtype == np.complex128

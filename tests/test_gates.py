@@ -11,7 +11,6 @@ from qumodelab import (
     beamsplitter_action,
     compose_circuit,
     displacement,
-    gate_matrix,
     number,
     rotation,
     squeezing,
@@ -45,14 +44,14 @@ def interior_indices(reg, involved, margin=2):
 
 def test_displacement_zero_is_identity():
     reg = QumodeRegister((8,))
-    U = gate_matrix(displacement(1, 0.0), reg)
+    U = compose_circuit([displacement(1, 0.0)], reg)
     assert np.abs(U.entries - np.eye(8)).max() < 1e-14
 
 
 def test_rotation_is_diagonal_phases():
     reg = QumodeRegister((5,))
     phi = 0.7
-    U = gate_matrix(rotation(1, phi), reg)
+    U = compose_circuit([rotation(1, phi)], reg)
     expected = np.diag(np.exp(1j * phi * np.arange(5)))
     assert np.abs(U.entries - expected).max() < 1e-14
 
@@ -61,7 +60,7 @@ def test_squeezed_vacuum_overlap():
     # |<0|S(r)|0>|^2 = 1/cosh(r) for real squeezing
     reg = QumodeRegister((30,))
     for r in (0.1, 0.5, 1.0):
-        U = gate_matrix(squeezing(1, r), reg)
+        U = compose_circuit([squeezing(1, r)], reg)
         assert abs(abs(U.entries[0, 0]) ** 2 - 1.0 / np.cosh(r)) < 1e-6
 
 
@@ -72,7 +71,7 @@ def test_gate_validation():
         displacement(1, complex("inf"))
     reg = QumodeRegister((4, 4))
     with pytest.raises(ValueError):
-        gate_matrix(displacement(3, 0.1), reg)
+        compose_circuit([displacement(3, 0.1)], reg)
 
 
 def test_complex_rotation_and_beamsplitter_parameters_refused_at_construction():
@@ -131,6 +130,19 @@ def test_beamsplitter_identical_modes_rejected():
         beamsplitter_action(0.5, 0.0, reg, (2, 2))
 
 
+@pytest.mark.parametrize(
+    "theta, phi, modes",
+    [(0.3j, 0.0, (1, 2)), (np.nan, 0.0, (1, 2)), (0.3, np.inf, (1, 2)), (0.3, 0.0, (2, 2))],
+    ids=["complex theta", "nan theta", "infinite phi", "equal modes"],
+)
+def test_beamsplitter_action_refuses_as_the_gate_does(theta, phi, modes):
+    with pytest.raises(ValueError) as gate:
+        beamsplitter(*modes, theta, phi)
+    with pytest.raises(ValueError) as action:
+        beamsplitter_action(theta, phi, QumodeRegister((4, 4)), modes)
+    assert str(action.value) == str(gate.value)
+
+
 # ---------------------------------------------------------------------------
 # circuits
 # ---------------------------------------------------------------------------
@@ -153,14 +165,15 @@ def test_displacement_group_law():
 def test_rotation_angles_add():
     reg = QumodeRegister((6,))
     U = compose_circuit([rotation(1, 0.4), rotation(1, 1.1)], reg)
-    V = gate_matrix(rotation(1, 1.5), reg)
+    V = compose_circuit([rotation(1, 1.5)], reg)
     assert np.abs(U.entries - V.entries).max() < 1e-12
 
 
 def test_circuit_ordering_first_gate_rightmost():
     reg = QumodeRegister((10,))
     circ = compose_circuit([displacement(1, 0.5), rotation(1, 0.9)], reg)
-    manual = gate_matrix(rotation(1, 0.9), reg) @ gate_matrix(displacement(1, 0.5), reg)
+    later, first = (compose_circuit([g], reg) for g in (rotation(1, 0.9), displacement(1, 0.5)))
+    manual = later @ first
     assert np.abs(circ.entries - manual.entries).max() < 1e-13
 
 
@@ -177,29 +190,29 @@ def test_random_gates_unitary_on_interior():
         kind = rng.integers(0, 4)
         if kind == 0:
             g = displacement(1, rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
-            U, reg, involved = gate_matrix(g, reg1), reg1, (1,)
+            U, reg, involved = compose_circuit([g], reg1), reg1, (1,)
         elif kind == 1:
             g = rotation(1, rng.uniform(-np.pi, np.pi))
-            U, reg, involved = gate_matrix(g, reg1), reg1, (1,)
+            U, reg, involved = compose_circuit([g], reg1), reg1, (1,)
         elif kind == 2:
             g = squeezing(1, rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
-            U, reg, involved = gate_matrix(g, reg1), reg1, (1,)
+            U, reg, involved = compose_circuit([g], reg1), reg1, (1,)
         else:
             g = beamsplitter(1, 2, rng.uniform(0, 1), rng.uniform(0, 2 * np.pi))
-            U, reg, involved = gate_matrix(g, reg2), reg2, (1, 2)
+            U, reg, involved = compose_circuit([g], reg2), reg2, (1, 2)
         keep = interior_indices(reg, involved)
         assert unitarity_defect(U.entries, keep) < 1e-7
 
 
 def test_displacement_cutoff_convergence():
-    U20 = gate_matrix(displacement(1, 1.0), QumodeRegister((20,))).entries
-    U30 = gate_matrix(displacement(1, 1.0), QumodeRegister((30,))).entries
+    U20 = compose_circuit([displacement(1, 1.0)], QumodeRegister((20,))).entries
+    U30 = compose_circuit([displacement(1, 1.0)], QumodeRegister((30,))).entries
     assert np.abs(U20[:10, :10] - U30[:10, :10]).max() < 1e-8
 
 
 def test_rotation_commutes_with_number_exactly():
     reg = QumodeRegister((7,))
-    R = gate_matrix(rotation(1, 0.6), reg)
+    R = compose_circuit([rotation(1, 0.6)], reg)
     n = number(reg, 1)
     assert np.abs(R.entries @ n.entries - n.entries @ R.entries).max() == 0.0
 
@@ -269,7 +282,7 @@ SINGLE_MODE_GATES = (
 def test_single_mode_gate_acts_on_its_own_mode(make, mode):
     # A product with the identity adds only exact zeros to each entry.
     gate = make(mode)
-    assert np.array_equal(gate_matrix(gate, UNEQUAL).entries, lifted_gate(gate, UNEQUAL))
+    assert np.array_equal(compose_circuit([gate], UNEQUAL).entries, lifted_gate(gate, UNEQUAL))
 
 
 def test_gate_chain_on_unequal_cutoffs_matches_lifted_product():

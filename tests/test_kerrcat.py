@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from qumodelab import (
-    ContractViolation,
     ConvergenceError,
     DoubleWellParams,
     KerrCatParams,
@@ -17,7 +16,6 @@ from qumodelab import (
     QumodeRegister,
     annihilation,
     doublewell_hamiltonian,
-    esqpt_energy,
     excitation_sweep,
     kerrcat_hamiltonian,
     metapotential_dos,
@@ -106,7 +104,7 @@ def test_blocks_cover_full_spectrum():
 
 def test_parity_violation_rejected():
     H = doublewell_hamiltonian(DoubleWellParams(k4=1.0, k2=4.0, k1=0.3, cutoff=20))
-    with pytest.raises(ContractViolation):
+    with pytest.raises(ValueError, match="does not commute with parity"):
         parity_split(H)
 
 
@@ -317,7 +315,7 @@ def test_pairs_below_esqpt_are_kissing():
     xi = 3.0
     sweep = excitation_sweep(1.0, [xi], cutoff=80, n_levels=20)
     (gaps,) = pair_gaps(sweep)
-    peak = esqpt_energy(KerrCatParams(xi=xi, K=1.0, cutoff=120))
+    peak = metapotential_dos(KerrCatParams(xi=xi, K=1.0, cutoff=120)).peak_energy()
     for i in range(len(gaps) - 1):
         energy, gap = gaps[i]
         if energy < peak:
@@ -345,7 +343,7 @@ def test_every_dos_refuses_fewer_than_ten_bins():
     with pytest.raises(ValueError, match="at least 10 bins"):
         metapotential_dos(p, bins=3)
     with pytest.raises(ValueError, match="at least 10 bins"):
-        esqpt_energy(p, bins=1)
+        metapotential_dos(p, bins=1).peak_energy()
     assert len(metapotential_dos(p, bins=kerrcat.MIN_DOS_BINS)) == 10
 
 
@@ -379,17 +377,14 @@ def test_metapotential_window_needs_positive_kerr(K):
     params = KerrCatParams(xi=2.0, K=K, cutoff=60)
     with pytest.raises(ValueError, match="K > 0"):
         metapotential_dos(params)
-    with pytest.raises(ValueError, match="K > 0"):
-        esqpt_energy(params)
 
 
 @pytest.mark.parametrize("span", [0.0, -1.0, float("nan"), float("inf")])
 def test_metapotential_window_needs_finite_positive_span(span):
     # numpy widens the empty window of span 0 to (-0.5, 0.5).
     params = KerrCatParams(xi=2.0, K=1.0, cutoff=60)
-    for estimate in (metapotential_dos, esqpt_energy):
-        with pytest.raises(ValueError, match="span must be finite and > 0"):
-            estimate(params, span=span)
+    with pytest.raises(ValueError, match="span must be finite and > 0"):
+        metapotential_dos(params, span=span)
 
 
 # ---------------------------------------------------------------------------
@@ -463,9 +458,8 @@ def test_params_refuse_non_integer_cutoff(cutoff):
 def test_sweep_and_dos_refuse_non_integer_sizes(n_levels, bins):
     with pytest.raises(ValueError, match="n_levels must be an integer"):
         excitation_sweep(1.0, [1.0], 20, n_levels)
-    for estimate in (metapotential_dos, esqpt_energy):
-        with pytest.raises(ValueError, match="bins must be an integer"):
-            estimate(KerrCatParams(xi=2.0), bins=bins)
+    with pytest.raises(ValueError, match="bins must be an integer"):
+        metapotential_dos(KerrCatParams(xi=2.0), bins=bins)
     assert excitation_sweep(1.0, [1.0], 20, np.int64(4)).n_levels == 4
     assert len(metapotential_dos(KerrCatParams(xi=2.0), bins=np.int64(12))) == 12
 

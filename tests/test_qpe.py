@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from qumodelab import (
-    ContractViolation,
     Operator,
+    ParamError,
     QpeSpec,
     QumodeRegister,
     StateVector,
@@ -167,13 +167,15 @@ def test_global_phase_shifts_distribution_cyclically():
 def test_eigenstate_validation():
     reg = QumodeRegister((2,))
     U = Operator(np.array([[0.0, 1.0], [1.0, 0.0]]).astype(complex), reg)
-    with pytest.raises(ContractViolation):
+    with pytest.raises(ParamError, match="not an eigenstate of U") as exc:
         QpeSpec(d=2, t=1, U=U, eigenstate=basis_state(reg, (0,)))
+    assert exc.value.name == "eigenstate"
     plus = StateVector(np.array([1.0, 1.0]) / np.sqrt(2), reg)
     spec = QpeSpec(d=2, t=1, U=U, eigenstate=plus)
     assert abs(spec.phase - 0.0) < 1e-12
-    with pytest.raises(ContractViolation, match="U is not unitary"):
+    with pytest.raises(ParamError, match="U is not unitary") as exc:
         QpeSpec(d=2, t=1, U=0.5 * U, eigenstate=plus)
+    assert exc.value.name == "U"
 
 
 def test_non_diagonal_unitary():

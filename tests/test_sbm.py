@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from qumodelab import (
-    ContractViolation,
     DenseHamiltonian,
     Operator,
+    ParamError,
     QumodeRegister,
     WAVENUMBER_TO_RAD_PER_PS,
     annihilation,
@@ -115,8 +115,9 @@ def test_fmo_mapping_reproduces_entries():
 
 
 def test_non_hermitian_input_rejected():
-    with pytest.raises(ContractViolation):
+    with pytest.raises(ParamError, match="not Hermitian") as exc:
         DenseHamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    assert exc.value.name == "entries"
 
 
 def test_empty_hamiltonian_rejected():
@@ -292,7 +293,7 @@ def test_hermiticity_tolerances_stay_distinct():
     def skewed(defect):
         return np.array([[0.0, 1.0 + defect], [1.0, 0.0]])
 
-    with pytest.raises(ContractViolation, match="not Hermitian"):
+    with pytest.raises(ParamError, match="not Hermitian"):
         DenseHamiltonian(skewed(5e-10))
 
 

@@ -9,9 +9,9 @@ from qumodelab import (
     QumodeRegister,
     Spectrum,
     doktorov_operator,
-    fcf_table,
-    gate_matrix,
+    compose_circuit,
     displacement,
+    fcf_table,
     stick_spectrum,
 )
 
@@ -36,7 +36,7 @@ def test_zero_spec_gives_identity():
 def test_displacement_only_spec():
     reg = make_reg(10)
     U = doktorov_operator(DoktorovSpec(alpha1=0.4), reg)
-    expected = gate_matrix(displacement(1, 0.4), reg)
+    expected = compose_circuit([displacement(1, 0.4)], reg)
     assert np.abs(U.entries - expected.entries).max() < 1e-12
 
 
